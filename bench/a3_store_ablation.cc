@@ -1,6 +1,6 @@
 // A3 (ablation) — triple-store compaction threshold under the dynamic
-// setting: the pending-buffer size trades insert amortization against
-// query-time buffer scans. Backs DESIGN.md's default of 64k.
+// setting: the pending-buffer size trades the number of delta merges
+// against query-time buffer scans. Backs DESIGN.md's default of 64k.
 
 #include <iostream>
 
@@ -59,9 +59,9 @@ int Run() {
   }
   table.Print(std::cout);
   std::cout << "\nShape check: query time grows with the threshold (linear "
-               "buffer scans) while insert time shrinks (fewer sorts); the "
-               "total is U-shaped with a sweet spot in the tens of "
-               "thousands — the 64k default.\n";
+               "buffer scans) while insert time shrinks (fewer merges); the "
+               "total is U-shaped with a floor in the tens of thousands — "
+               "the 64k default.\n";
   return 0;
 }
 

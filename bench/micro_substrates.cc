@@ -5,6 +5,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "explore/keyword.h"
 #include "geo/rtree.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -18,11 +19,13 @@
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "workload/synthetic_lod.h"
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <unordered_map>
@@ -62,6 +65,52 @@ void BM_TripleStoreMatchBySubject(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TripleStoreMatchBySubject);
+
+/// One compaction of the memory store: ~300 newly arrived triples merged
+/// into 25k indexed ones, the size of an exploration session's ingest step.
+void BM_TripleStoreCompactDelta(benchmark::State& state) {
+  Rng rng(3);
+  auto random_triple = [&] {
+    return rdf::Triple(static_cast<rdf::TermId>(1 + rng.Uniform(2500)),
+                       static_cast<rdf::TermId>(1 + rng.Uniform(10)),
+                       static_cast<rdf::TermId>(1 + rng.Uniform(50000)));
+  };
+  std::vector<rdf::Triple> base(25000), delta(300);
+  for (rdf::Triple& t : base) t = random_triple();
+  for (rdf::Triple& t : delta) t = random_triple();
+  std::optional<rdf::TripleStore> store;
+  for (auto _ : state) {
+    state.PauseTiming();
+    store.reset();
+    store.emplace();
+    for (const rdf::Triple& t : base) store->AddEncoded(t);
+    store->Compact();
+    for (const rdf::Triple& t : delta) store->AddEncoded(t);
+    state.ResumeTiming();
+    store->Compact();
+    benchmark::DoNotOptimize(store->size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(delta.size()));
+}
+// Each iteration re-creates the 25k store untimed; a fixed count keeps
+// the run short.
+BENCHMARK(BM_TripleStoreCompactDelta)->Iterations(300);
+
+/// A full keyword-index build over 2.5k synthetic entities (~25k triples):
+/// the work a bulk load leaves for the next search.
+void BM_KeywordIndexBuild(benchmark::State& state) {
+  rdf::TripleStore store;
+  workload::GenerateSyntheticLod({.num_entities = 2500, .seed = 1}, &store);
+  store.Compact();
+  for (auto _ : state) {
+    explore::KeywordIndex index = explore::KeywordIndex::Build(store);
+    benchmark::DoNotOptimize(index.num_documents());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(store.size()));
+}
+BENCHMARK(BM_KeywordIndexBuild)->Unit(benchmark::kMillisecond);
 
 void BM_BTreeLookup(benchmark::State& state) {
   std::string path = "/tmp/lodviz_microbench_" + std::to_string(::getpid());

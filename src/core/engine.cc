@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "common/stopwatch.h"
@@ -104,8 +105,17 @@ size_t Engine::IngestStream(rdf::StreamSource* source, size_t batch_size) {
   LODVIZ_TRACE_SPAN("core.engine.ingest_stream");
   CountCapability("ingest_stream");
   Stopwatch sw;
-  size_t n = rdf::IngestStream(source, &store_, batch_size);
-  InvalidateDerived();
+  // The keyword index follows the arriving triples (once built, it is
+  // never rebuilt for a stream); the profile and the disk mirror are
+  // recomputed on their next use.
+  size_t n = rdf::IngestStream(
+      source, &store_, batch_size,
+      [this](std::span<const rdf::Triple> batch, size_t) {
+        if (!keyword_.has_value()) return;
+        for (const rdf::Triple& t : batch) keyword_->Add(store_.dict(), t);
+      });
+  profile_.reset();
+  disk_dirty_ = true;
   session_.Record(explore::OpKind::kLoad, "stream", sw.ElapsedMillis(), n);
   return n;
 }

@@ -84,6 +84,9 @@ class Engine {
   // ---- data in ----
   Status LoadNTriples(std::string_view document);
   size_t LoadSynthetic(const workload::SyntheticLodOptions& options);
+  /// Appends a stream of arriving triples. Cost follows the stream, not
+  /// the store: a built keyword index is updated in place, while bulk
+  /// loads (above) drop it to be rebuilt on the next Keyword().
   size_t IngestStream(rdf::StreamSource* source, size_t batch_size);
 
   // ---- query & analysis ----
@@ -128,6 +131,8 @@ class Engine {
 
   // ---- exploration services ----
   explore::FacetedBrowser MakeBrowser() const;
+  /// The keyword index over the store, built on first use after a bulk
+  /// load and kept current by IngestStream.
   const explore::KeywordIndex& Keyword();
   std::vector<explore::SearchHit> Search(const std::string& query,
                                          size_t top_k = 10);

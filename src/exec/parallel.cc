@@ -7,6 +7,7 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace lodviz::exec {
@@ -27,6 +28,11 @@ size_t DefaultThreads() {
 /// pool is constructed after (and destroyed before) the obs registry its
 /// workers report into.
 struct GlobalExec {
+  /// ThreadCount() may create this state before anything has touched the
+  /// registry; constructing the registry first keeps it alive until the
+  /// pool's destructor has reported into it at exit.
+  GlobalExec() { (void)obs::MetricRegistry::Global(); }
+
   /// SetThreads()/GlobalPool() construct and destroy the pool (whose ctor
   /// registers gauges and whose dtor takes ThreadPool::mu_) while holding
   /// mu, so it orders before both downstream mutexes.

@@ -10,62 +10,64 @@ namespace lodviz::explore {
 
 KeywordIndex KeywordIndex::Build(const rdf::TripleStore& store,
                                  double label_boost) {
-  KeywordIndex index;
+  KeywordIndex index(label_boost);
   const rdf::Dictionary& dict = store.dict();
-  rdf::TermId label_pred = dict.Lookup(rdf::Term::Iri(rdf::vocab::kRdfsLabel));
-
-  std::unordered_map<rdf::TermId, uint32_t> doc_of;
-  // term -> (doc -> weighted term frequency)
-  std::unordered_map<std::string, std::unordered_map<uint32_t, double>> tf;
-
   store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
-    const rdf::Term& obj = dict.term(t.o);
-    if (!obj.is_literal()) return true;
-    std::vector<std::string> tokens = TokenizeWords(obj.lexical);
-    if (tokens.empty()) return true;
-
-    auto [it, inserted] =
-        doc_of.emplace(t.s, static_cast<uint32_t>(index.subjects_.size()));
-    if (inserted) {
-      index.subjects_.push_back(t.s);
-      index.labels_.emplace_back();
-      index.doc_lengths_.push_back(0.0);
-    }
-    uint32_t doc = it->second;
-    double weight = (label_pred != rdf::kInvalidTermId && t.p == label_pred)
-                        ? label_boost
-                        : 1.0;
-    if (t.p == label_pred && index.labels_[doc].empty()) {
-      index.labels_[doc] = obj.lexical;
-    }
-    for (const std::string& token : tokens) {
-      tf[token][doc] += weight;
-      index.doc_lengths_[doc] += weight;
-    }
+    index.Add(dict, t);
     return true;
   });
-
-  // Fill fallback labels with the subject IRI.
-  for (size_t d = 0; d < index.subjects_.size(); ++d) {
-    if (index.labels_[d].empty()) {
-      index.labels_[d] = dict.term(index.subjects_[d]).lexical;
-    }
-  }
-
-  // Convert to tf-idf postings.
-  double n = static_cast<double>(index.subjects_.size());
-  for (auto& [term, docs] : tf) {
-    double idf = std::log((n + 1.0) / (static_cast<double>(docs.size()) + 1.0)) + 1.0;
-    std::vector<Posting>& list = index.postings_[term];
-    list.reserve(docs.size());
-    for (const auto& [doc, freq] : docs) {
-      double norm = std::max(1.0, index.doc_lengths_[doc]);
-      list.push_back({doc, freq / norm * idf});
-    }
-    std::sort(list.begin(), list.end(),
-              [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-  }
   return index;
+}
+
+void KeywordIndex::Add(const rdf::Dictionary& dict, const rdf::Triple& t) {
+  const rdf::Term& obj = dict.term(t.o);
+  if (!obj.is_literal()) return;
+  auto found = doc_of_.find(t.s);
+  const std::pair<rdf::TermId, rdf::TermId> key(t.p, t.o);
+  if (found != doc_of_.end()) {
+    const auto& indexed = docs_[found->second].indexed;
+    if (std::binary_search(indexed.begin(), indexed.end(), key)) return;
+  }
+  std::vector<std::string> tokens = TokenizeWords(obj.lexical);
+  if (tokens.empty()) return;
+
+  if (found == doc_of_.end()) {
+    found = doc_of_.emplace(t.s, static_cast<uint32_t>(docs_.size())).first;
+    Doc& fresh = docs_.emplace_back();
+    fresh.subject = t.s;
+    fresh.label = dict.term(t.s).lexical;
+  }
+  const uint32_t doc_id = found->second;
+  Doc& doc = docs_[doc_id];
+  doc.indexed.insert(
+      std::lower_bound(doc.indexed.begin(), doc.indexed.end(), key), key);
+
+  if (label_pred_ == rdf::kInvalidTermId) {
+    label_pred_ = dict.Lookup(rdf::Term::Iri(rdf::vocab::kRdfsLabel));
+  }
+  const bool is_label = t.p == label_pred_;
+  if (is_label &&
+      (doc.label_term == rdf::kInvalidTermId || t.o < doc.label_term)) {
+    doc.label_term = t.o;
+    doc.label = obj.lexical;
+  }
+  const double weight = is_label ? label_boost_ : 1.0;
+  for (const std::string& token : tokens) {
+    std::vector<Posting>& list = postings_[token];
+    doc.length += weight;
+    if (list.empty() || list.back().doc < doc_id) {
+      list.push_back({doc_id, weight});
+      continue;
+    }
+    auto it = std::lower_bound(
+        list.begin(), list.end(), doc_id,
+        [](const Posting& p, uint32_t d) { return p.doc < d; });
+    if (it != list.end() && it->doc == doc_id) {
+      it->tf += weight;
+    } else {
+      list.insert(it, {doc_id, weight});
+    }
+  }
 }
 
 std::vector<SearchHit> KeywordIndex::Search(const std::string& query,
@@ -75,14 +77,19 @@ std::vector<SearchHit> KeywordIndex::Search(const std::string& query,
 
   // Accumulate scores and term-match counts per doc.
   std::unordered_map<uint32_t, std::pair<double, int>> scores;
+  const double n = static_cast<double>(docs_.size());
   int matched_terms = 0;
   for (const std::string& term : terms) {
     auto it = postings_.find(term);
     if (it == postings_.end()) continue;
     ++matched_terms;
-    for (const Posting& p : it->second) {
+    const std::vector<Posting>& list = it->second;
+    const double idf =
+        std::log((n + 1.0) / (static_cast<double>(list.size()) + 1.0)) + 1.0;
+    for (const Posting& p : list) {
+      const double norm = std::max(1.0, docs_[p.doc].length);
       auto& entry = scores[p.doc];
-      entry.first += p.weight;
+      entry.first += p.tf / norm * idf;
       entry.second += 1;
     }
   }
@@ -95,25 +102,28 @@ std::vector<SearchHit> KeywordIndex::Search(const std::string& query,
     for (const auto& [doc, entry] : scores) {
       if (entry.second < required) continue;
       SearchHit hit;
-      hit.subject = subjects_[doc];
+      hit.subject = docs_[doc].subject;
       hit.score = entry.first;
-      hit.label = labels_[doc];
+      hit.label = docs_[doc].label;
       hits.push_back(std::move(hit));
     }
     if (!hits.empty()) break;
   }
   std::sort(hits.begin(), hits.end(), [](const SearchHit& a, const SearchHit& b) {
     if (a.score != b.score) return a.score > b.score;
-    return a.label < b.label;
+    if (a.label != b.label) return a.label < b.label;
+    return a.subject < b.subject;
   });
   if (hits.size() > top_k) hits.resize(top_k);
   return hits;
 }
 
 size_t KeywordIndex::MemoryUsage() const {
-  size_t bytes = subjects_.capacity() * sizeof(rdf::TermId) +
-                 doc_lengths_.capacity() * sizeof(double);
-  for (const std::string& l : labels_) bytes += l.capacity();
+  size_t bytes = docs_.capacity() * sizeof(Doc) +
+                 doc_of_.size() * (sizeof(rdf::TermId) + sizeof(uint32_t));
+  for (const Doc& d : docs_) {
+    bytes += d.label.capacity() + d.indexed.capacity() * sizeof(d.indexed[0]);
+  }
   for (const auto& [term, list] : postings_) {
     bytes += term.capacity() + list.capacity() * sizeof(Posting);
   }

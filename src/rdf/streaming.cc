@@ -40,18 +40,21 @@ std::vector<ParsedTriple> EndpointSimulator::NextBatch(size_t max_batch) {
   return out;
 }
 
-size_t IngestStream(StreamSource* source, TripleStore* store,
-                    size_t batch_size,
-                    const std::function<void(size_t total)>& on_batch) {
+size_t IngestStream(
+    StreamSource* source, TripleStore* store, size_t batch_size,
+    const std::function<void(std::span<const Triple> batch, size_t total)>&
+        on_batch) {
   size_t total = 0;
+  std::vector<Triple> encoded;
   while (!source->Exhausted()) {
     std::vector<ParsedTriple> batch = source->NextBatch(batch_size);
     if (batch.empty()) break;
+    encoded.clear();
     for (const ParsedTriple& pt : batch) {
-      store->Add(pt.subject, pt.predicate, pt.object);
+      encoded.push_back(store->Add(pt.subject, pt.predicate, pt.object));
     }
     total += batch.size();
-    if (on_batch) on_batch(total);
+    if (on_batch) on_batch(encoded, total);
   }
   return total;
 }

@@ -2,6 +2,7 @@
 #define LODVIZ_RDF_STREAMING_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "rdf/ntriples.h"
@@ -83,11 +84,14 @@ class EndpointSimulator : public StreamSource {
 };
 
 /// Drains `source` into `store` in batches of `batch_size`, invoking
-/// `on_batch` (if set) after each batch — the hook where incremental
-/// indexing / progressive visualization reacts to new data.
-size_t IngestStream(StreamSource* source, TripleStore* store,
-                    size_t batch_size,
-                    const std::function<void(size_t total)>& on_batch = {});
+/// `on_batch` (if set) after each batch with the batch's triples as
+/// encoded into `store` (re-delivered ones included) and the running
+/// total — the hook where incremental indexing / progressive visualization
+/// reacts to new data.
+size_t IngestStream(
+    StreamSource* source, TripleStore* store, size_t batch_size,
+    const std::function<void(std::span<const Triple> batch, size_t total)>&
+        on_batch = {});
 
 }  // namespace lodviz::rdf
 

@@ -1,6 +1,7 @@
 #include "rdf/triple_store.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -62,19 +63,20 @@ void TripleStore::Compact() const {
   CompactLocked();
 }
 
-void TripleStore::CompactLocked() const {
-  if (pending_.empty()) return;
-  spo_.insert(spo_.end(), pending_.begin(), pending_.end());
-  pending_.clear();
-  std::sort(spo_.begin(), spo_.end(), OrderSpo());
-  spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
-  pos_ = spo_;
-  std::sort(pos_.begin(), pos_.end(), OrderPos());
-  osp_ = spo_;
-  std::sort(osp_.begin(), osp_.end(), OrderOsp());
-}
-
 namespace {
+
+/// Merges `delta` (sorted by `order`, disjoint from `index`) into the
+/// sorted `index` in one pass, into storage sized exactly for the result:
+/// the indexes hold no growth slack between compactions.
+template <typename Order>
+void MergeInto(std::vector<Triple>* index, const std::vector<Triple>& delta,
+               Order order) {
+  std::vector<Triple> merged;
+  merged.reserve(index->size() + delta.size());
+  std::merge(index->begin(), index->end(), delta.begin(), delta.end(),
+             std::back_inserter(merged), order);
+  index->swap(merged);
+}
 
 /// Delivers [lo, hi) as maximal contiguous spans of pattern matches —
 /// zero-copy runs straight out of the sorted index (or pending buffer).
@@ -93,6 +95,31 @@ bool RunRange(const Triple* lo, const Triple* hi, const TriplePattern& pattern,
 }
 
 }  // namespace
+
+void TripleStore::CompactLocked() const {
+  if (pending_.empty()) return;
+  // Only the delta is sorted: deduplicate it, drop the triples the indexes
+  // already hold, then merge it into each permutation. O(n + k log k) for
+  // k pending triples over n indexed ones.
+  std::sort(pending_.begin(), pending_.end(), OrderSpo());
+  pending_.erase(std::unique(pending_.begin(), pending_.end()),
+                 pending_.end());
+  const std::vector<Triple>& indexed = spo_;
+  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                [&](const Triple& t) {
+                                  return std::binary_search(indexed.begin(),
+                                                            indexed.end(), t,
+                                                            OrderSpo());
+                                }),
+                 pending_.end());
+  if (pending_.empty()) return;
+  MergeInto(&spo_, pending_, OrderSpo());
+  std::sort(pending_.begin(), pending_.end(), OrderPos());
+  MergeInto(&pos_, pending_, OrderPos());
+  std::sort(pending_.begin(), pending_.end(), OrderOsp());
+  MergeInto(&osp_, pending_, OrderOsp());
+  pending_.clear();
+}
 
 void TripleStore::Scan(const TriplePattern& pattern, const ScanFn& fn) const {
   MutexLock lock(&mu_);

@@ -23,6 +23,9 @@ namespace lodviz::rdf {
 /// inserts are O(1) appends into a pending buffer; queries merge the sorted
 /// indexes with a linear scan of the buffer, and the buffer is folded into
 /// the indexes once it exceeds a threshold (amortized incremental indexing).
+/// A fold sorts and deduplicates only the buffer, drops the triples already
+/// indexed, and merges the rest into each permutation: O(n + k log k) for k
+/// buffered triples over n indexed ones, never a re-sort of the store.
 ///
 /// Thread-safety: the permutation indexes and pending buffer are guarded by
 /// `mu_` (clang -Wthread-safety verified), so concurrent reads — which may
@@ -99,7 +102,8 @@ class TripleStore : public TripleSource {
   [[nodiscard]] std::vector<TermId> DistinctObjects(TermId p) const
       LODVIZ_EXCLUDES(mu_);
 
-  /// Folds the pending buffer into the sorted indexes and deduplicates.
+  /// Folds the pending buffer into the sorted indexes and deduplicates
+  /// (a merge of the sorted delta; see the class comment).
   void Compact() const LODVIZ_EXCLUDES(mu_);
 
   /// Approximate heap bytes including the dictionary.

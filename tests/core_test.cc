@@ -339,11 +339,48 @@ TEST_F(EngineFixture, DiskBackendMatchesMemoryAndTracksLoads) {
 TEST_F(EngineFixture, StreamingIngestInvalidatesDerivedState) {
   auto triples = workload::GenerateSyntheticLodTriples(
       {.num_entities = 50, .seed = 123});
+  // An entity that only the stream carries.
+  triples.push_back({rdf::Term::Iri("http://x/streamed"),
+                     rdf::Term::Iri(rdf::vocab::kRdfsLabel),
+                     rdf::Term::Literal("Zanzibar Quokka")});
+  ASSERT_TRUE(engine_.Search("quokka").empty());  // builds the index
+
   rdf::VectorStreamSource source(triples);
   size_t before = engine_.store().size();
   size_t added = engine_.IngestStream(&source, 64);
   EXPECT_GT(added, 100u);
   EXPECT_EQ(engine_.store().size(), before + added);
+
+  const rdf::TermId streamed =
+      engine_.store().dict().Lookup(rdf::Term::Iri("http://x/streamed"));
+  auto hits = engine_.Search("zanzibar quokka");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].subject, streamed);
+  EXPECT_EQ(hits[0].label, "Zanzibar Quokka");
+  // A word of the synthetic labels, matching loaded and streamed entities.
+  std::string word;
+  for (const rdf::ParsedTriple& t : triples) {
+    if (t.predicate.lexical == rdf::vocab::kRdfsLabel) {
+      word = t.object.lexical.substr(0, t.object.lexical.find(' '));
+      break;
+    }
+  }
+  auto word_hits = engine_.Search(word, 1000);
+  ASSERT_FALSE(word_hits.empty()) << word;
+
+  // Delivering the same batch again changes no hit and no score.
+  rdf::VectorStreamSource again(triples);
+  EXPECT_EQ(engine_.IngestStream(&again, 64), added);
+  auto hits_again = engine_.Search("zanzibar quokka");
+  auto word_hits_again = engine_.Search(word, 1000);
+  ASSERT_EQ(hits_again.size(), hits.size());
+  EXPECT_EQ(hits_again[0].subject, hits[0].subject);
+  EXPECT_EQ(hits_again[0].score, hits[0].score);
+  ASSERT_EQ(word_hits_again.size(), word_hits.size());
+  for (size_t i = 0; i < word_hits.size(); ++i) {
+    EXPECT_EQ(word_hits_again[i].subject, word_hits[i].subject) << i;
+    EXPECT_EQ(word_hits_again[i].score, word_hits[i].score) << i;
+  }
 }
 
 }  // namespace

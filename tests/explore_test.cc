@@ -1,18 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "common/random.h"
+#include "common/string_util.h"
+#include "core/engine.h"
 #include "explore/cache.h"
 #include "explore/facets.h"
 #include "explore/keyword.h"
 #include "explore/prefetch.h"
 #include "explore/progressive.h"
 #include "explore/session.h"
+#include "rdf/streaming.h"
 #include "rdf/triple_store.h"
 #include "rdf/vocab.h"
 #include "workload/scenario.h"
+#include "workload/synthetic_lod.h"
 
 namespace lodviz::explore {
 namespace {
@@ -138,6 +143,147 @@ TEST(KeywordTest, NoMatch) {
   KeywordIndex index = KeywordIndex::Build(store);
   EXPECT_TRUE(index.Search("zzzznothing").empty());
   EXPECT_TRUE(index.Search("").empty());
+}
+
+TEST(KeywordTest, EqualScoresAndLabelsOrderBySubject) {
+  using rdf::Term;
+  rdf::TripleStore store;
+  for (int i = 0; i < 20; ++i) {
+    store.Add(Term::Iri("http://x/twin" + std::to_string(i)),
+              Term::Iri(rdf::vocab::kRdfsLabel), Term::Literal("Twin Peak"));
+  }
+  KeywordIndex index = KeywordIndex::Build(store);
+  auto hits = index.Search("twin peak", 100);
+  ASSERT_EQ(hits.size(), 20u);
+  for (size_t i = 1; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].score, hits[0].score);
+    EXPECT_EQ(hits[i].label, hits[0].label);
+    EXPECT_LT(hits[i - 1].subject, hits[i].subject) << i;
+  }
+}
+
+TEST(KeywordTest, LabelIsTheSmallestLabelTermInAnyScanOrder) {
+  using rdf::Term;
+  rdf::TripleStore store;
+  const Term label = Term::Iri(rdf::vocab::kRdfsLabel);
+  // "Alpha Title" is interned first, then arrives as the subject's second
+  // label: its two labels come in reverse TermId order.
+  store.Add(Term::Iri("http://x/other"), Term::Iri("http://x/comment"),
+            Term::Literal("Alpha Title"));
+  store.Add(Term::Iri("http://x/s"), label, Term::Literal("Beta Title"));
+  store.Add(Term::Iri("http://x/s"), label, Term::Literal("Alpha Title"));
+  const rdf::TermId s = store.dict().Lookup(Term::Iri("http://x/s"));
+
+  auto label_of_s = [&](const KeywordIndex& index) {
+    for (const SearchHit& hit : index.Search("title")) {
+      if (hit.subject == s) return hit.label;
+    }
+    return std::string("<missing>");
+  };
+  const KeywordIndex pending = KeywordIndex::Build(store);  // scan order
+  store.Compact();
+  const KeywordIndex compacted = KeywordIndex::Build(store);  // SPO order
+  EXPECT_EQ(label_of_s(pending), "Alpha Title");
+  EXPECT_EQ(label_of_s(compacted), "Alpha Title");
+}
+
+/// A compacted copy of `store` with the same TermIds.
+rdf::TripleStore CompactedCopy(const rdf::TripleStore& store) {
+  rdf::TripleStore copy;
+  for (rdf::TermId id = 1; id <= store.dict().size(); ++id) {
+    EXPECT_EQ(copy.dict().Intern(store.dict().term(id)), id);
+  }
+  store.Scan({}, [&](const rdf::Triple& t) {
+    copy.AddEncoded(t);
+    return true;
+  });
+  copy.Compact();
+  return copy;
+}
+
+void ExpectSameHits(const KeywordIndex& got, const KeywordIndex& want,
+                    const std::vector<std::string>& queries) {
+  EXPECT_EQ(got.num_documents(), want.num_documents());
+  EXPECT_EQ(got.num_terms(), want.num_terms());
+  for (const std::string& q : queries) {
+    auto g = got.Search(q, 1 << 20);
+    auto w = want.Search(q, 1 << 20);
+    ASSERT_EQ(g.size(), w.size()) << q;
+    for (size_t i = 0; i < g.size(); ++i) {
+      EXPECT_EQ(g[i].subject, w[i].subject) << q << " #" << i;
+      EXPECT_EQ(g[i].label, w[i].label) << q << " #" << i;
+      EXPECT_EQ(g[i].score, w[i].score) << q << " #" << i;
+    }
+  }
+}
+
+TEST(KeywordTest, IndexKeptUpOnIngestEqualsFullRebuild) {
+  using rdf::ParsedTriple;
+  using rdf::Term;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<ParsedTriple> doc = workload::GenerateSyntheticLodTriples(
+        {.num_entities = 60, .seed = seed});
+    const Term label = Term::Iri(rdf::vocab::kRdfsLabel);
+    // rdfs:label is first interned after the opening triples arrive.
+    std::stable_partition(doc.begin(), doc.begin() + 40,
+                          [&](const ParsedTriple& t) {
+                            return t.predicate != label;
+                          });
+    // Multi-label subjects: a later copy of an earlier entity's label (an
+    // older, smaller TermId) and a fresh label (a newer one).
+    std::vector<ParsedTriple> labels;
+    for (const ParsedTriple& t : doc) {
+      if (t.predicate == label) labels.push_back(t);
+    }
+    for (size_t i = 0; i + 1 < labels.size(); i += 7) {
+      doc.push_back({labels[i + 1].subject, label, labels[i].object});
+      doc.push_back({labels[i].subject, label,
+                     Term::LangLiteral("extra name " + std::to_string(i),
+                                       "en")});
+    }
+
+    std::set<std::string> words;
+    for (const ParsedTriple& t : doc) {
+      if (!t.object.is_literal()) continue;
+      for (std::string& w : TokenizeWords(t.object.lexical)) {
+        words.insert(std::move(w));
+      }
+    }
+    std::vector<std::string> queries;
+    for (const std::string& w : words) {
+      if (rng.Bernoulli(0.3)) queries.push_back(w);
+    }
+    for (size_t i = 0; i + 1 < queries.size(); i += 5) {
+      queries.push_back(queries[i] + " " + queries[i + 1]);
+    }
+    queries.push_back("name zzzznothing");
+
+    core::Engine engine;
+    engine.Keyword();  // live from the start, before rdfs:label exists
+    size_t next = 0;
+    while (next < doc.size()) {
+      // The first batch holds no rdfs:label triple.
+      const size_t end =
+          next == 0 ? 20 : std::min(doc.size(), next + 1 + rng.Uniform(60));
+      std::vector<ParsedTriple> batch;
+      // Re-deliver the tail of what already arrived, then the new triples,
+      // some of them twice in a row.
+      for (size_t i = next - std::min<size_t>(next, rng.Uniform(10));
+           i < end; ++i) {
+        batch.push_back(doc[i]);
+        if (rng.Bernoulli(0.1)) batch.push_back(doc[i]);
+      }
+      next = end;
+      rdf::VectorStreamSource source(std::move(batch));
+      engine.IngestStream(&source, 1 + rng.Uniform(32));
+      const rdf::TripleStore rebuilt_from = CompactedCopy(engine.store());
+      ExpectSameHits(engine.Keyword(), KeywordIndex::Build(rebuilt_from),
+                     queries);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {

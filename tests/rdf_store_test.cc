@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "common/random.h"
@@ -131,31 +132,59 @@ TEST_F(TripleStoreFixture, PredicateCounts) {
 /// must agree with a naive filter over all triples.
 class PatternAgreement : public ::testing::TestWithParam<int> {};
 
+/// Scan order of a compacted store: the permutation serving the pattern.
+bool NaiveScanOrder(const TriplePattern& pat, const Triple& a,
+                    const Triple& b) {
+  if (pat.s != kInvalidTermId) return OrderSpo()(a, b);
+  if (pat.p != kInvalidTermId) return OrderPos()(a, b);
+  if (pat.o != kInvalidTermId) return OrderOsp()(a, b);
+  return OrderSpo()(a, b);
+}
+
 TEST_P(PatternAgreement, IndexedMatchesNaive) {
   Rng rng(GetParam());
   TripleStore store(/*compaction_threshold=*/64);  // force compactions
-  std::vector<Triple> all;
-  for (int i = 0; i < 500; ++i) {
-    Triple t(static_cast<TermId>(1 + rng.Uniform(20)),
-             static_cast<TermId>(1 + rng.Uniform(5)),
-             static_cast<TermId>(1 + rng.Uniform(30)));
-    store.AddEncoded(t);
-    all.push_back(t);
-  }
-  // Dedup the oracle the same way the store does.
-  std::sort(all.begin(), all.end(), OrderSpo());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-
-  for (int mask = 0; mask < 8; ++mask) {
-    TriplePattern pat;
-    if (mask & 1) pat.s = static_cast<TermId>(1 + rng.Uniform(20));
-    if (mask & 2) pat.p = static_cast<TermId>(1 + rng.Uniform(5));
-    if (mask & 4) pat.o = static_cast<TermId>(1 + rng.Uniform(30));
+  std::set<Triple, OrderSpo> all;
+  std::vector<Triple> added;
+  // Rounds of inserts merged into the indexes by threshold compactions and
+  // explicit ones; re-adds repeat triples within one delta and across
+  // deltas.
+  for (int round = 0; round < 12; ++round) {
+    const int n = static_cast<int>(rng.Uniform(150));
+    for (int i = 0; i < n; ++i) {
+      Triple t(static_cast<TermId>(1 + rng.Uniform(20)),
+               static_cast<TermId>(1 + rng.Uniform(5)),
+               static_cast<TermId>(1 + rng.Uniform(30)));
+      if (!added.empty() && rng.Bernoulli(0.2)) {
+        t = added[rng.Uniform(added.size())];
+      }
+      store.AddEncoded(t);
+      added.push_back(t);
+      all.insert(t);
+    }
+    if (rng.Bernoulli(0.5)) continue;  // leave a pending delta for later
     store.Compact();
-    uint64_t naive = static_cast<uint64_t>(
-        std::count_if(all.begin(), all.end(),
-                      [&](const Triple& t) { return pat.Matches(t); }));
-    EXPECT_EQ(store.Count(pat), naive) << "mask=" << mask;
+    EXPECT_EQ(store.size(), all.size()) << "round=" << round;
+
+    for (int mask = 0; mask < 8; ++mask) {
+      for (int probe = 0; probe < 4; ++probe) {
+        TriplePattern pat;
+        if (mask & 1) pat.s = static_cast<TermId>(1 + rng.Uniform(20));
+        if (mask & 2) pat.p = static_cast<TermId>(1 + rng.Uniform(5));
+        if (mask & 4) pat.o = static_cast<TermId>(1 + rng.Uniform(30));
+        std::vector<Triple> naive;
+        for (const Triple& t : all) {
+          if (pat.Matches(t)) naive.push_back(t);
+        }
+        std::sort(naive.begin(), naive.end(),
+                  [&](const Triple& a, const Triple& b) {
+                    return NaiveScanOrder(pat, a, b);
+                  });
+        EXPECT_EQ(store.Count(pat), naive.size()) << "mask=" << mask;
+        EXPECT_EQ(store.Match(pat), naive)
+            << "round=" << round << " mask=" << mask;
+      }
+    }
   }
 }
 
@@ -243,11 +272,23 @@ TEST(StreamingTest, VectorSourceDeliversAll) {
   VectorStreamSource source(data);
   TripleStore store;
   size_t batches = 0;
+  std::vector<Triple> seen;
   size_t total = IngestStream(&source, &store, 3,
-                              [&](size_t) { ++batches; });
+                              [&](std::span<const Triple> batch, size_t) {
+                                ++batches;
+                                seen.insert(seen.end(), batch.begin(),
+                                            batch.end());
+                              });
   EXPECT_EQ(total, 10u);
   EXPECT_EQ(batches, 4u);  // 3+3+3+1
   EXPECT_EQ(store.size(), 10u);
+  // The hook sees every triple as encoded into the store, in order.
+  ASSERT_EQ(seen.size(), 10u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], Triple(store.dict().Lookup(data[i].subject),
+                              store.dict().Lookup(data[i].predicate),
+                              store.dict().Lookup(data[i].object)));
+  }
 }
 
 TEST(StreamingTest, GeneratorSourceStopsWhenDone) {
