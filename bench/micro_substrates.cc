@@ -11,6 +11,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "rdf/triple_store.h"
+#include "serve/serialize.h"
 #include "sparql/column_batch.h"
 #include "sparql/engine.h"
 #include "sparql/parser.h"
@@ -190,17 +191,53 @@ void BM_LeafDecodeVarint(benchmark::State& state) {
   const uint16_t count = builder.Finish();
   storage::CompressedLeafReader reader(page, 16, count);
   std::vector<storage::BTree::Item> out;
-  out.reserve(count);
   size_t decoded = 0;
   for (auto _ : state) {
-    out.clear();
-    reader.DecodeFrom(storage::Key128::Min(), &out);
+    auto range = reader.DecodeRange(storage::Key128::Min(),
+                                    storage::Key128::Max(), &out);
     benchmark::DoNotOptimize(out.data());
-    decoded += out.size();
+    decoded += range.ok() ? range->n : 0;
   }
   state.SetItemsProcessed(static_cast<int64_t>(decoded));
 }
 BENCHMARK(BM_LeafDecodeVarint);
+
+/// A 10-entry range probe through BTree::RangeScanRuns into one full
+/// leaf: Arg(0) fixed leaves, Arg(1) compressed. Keys (h, 0..9) make every
+/// range exactly ten entries; the pool holds the whole tree, so this is
+/// the in-cache cost of descent plus leaf search (fixed: two binary
+/// searches; compressed: restart-directory search plus the one or two
+/// 16-entry blocks the range touches).
+void BM_BTreeRangeProbe(benchmark::State& state) {
+  const auto format = state.range(0) == 0 ? storage::LeafFormat::kFixed
+                                          : storage::LeafFormat::kCompressed;
+  std::string path = "/tmp/lodviz_microbench_rp_" + std::to_string(::getpid());
+  storage::PageFile file;
+  (void)file.Open(path, true);
+  storage::BufferPool pool(&file, 2048);
+  constexpr uint64_t kGroups = 50000;
+  std::vector<storage::BTree::Item> items;
+  for (uint64_t h = 0; h < kGroups; ++h) {
+    for (uint64_t l = 0; l < 10; ++l) items.push_back({{h << 20, l * 3}, 0});
+  }
+  auto tree = storage::BTree::BulkLoad(&pool, items, format);
+  Rng rng(9);
+  size_t delivered = 0;
+  for (auto _ : state) {
+    const uint64_t h = rng.Uniform(kGroups) << 20;
+    Status st = tree->RangeScanRuns(
+        {h, 0}, {h, ~0ULL}, [&](const storage::BTree::Item* run, size_t n) {
+          benchmark::DoNotOptimize(run);
+          delivered += n;
+          return true;
+        });
+    benchmark::DoNotOptimize(st.ok());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(delivered));
+  state.SetLabel(state.range(0) == 0 ? "fixed" : "compressed");
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_BTreeRangeProbe)->Arg(0)->Arg(1);
 
 void BM_RTreeWindowQuery(benchmark::State& state) {
   Rng rng(4);
@@ -287,6 +324,63 @@ void BM_SparqlExecute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SparqlExecute);
+
+/// ORDER BY over 1,600 IRIs (the lodbench category-range answer size):
+/// Arg(0) runs the query without ORDER BY, Arg(1) with it, so the
+/// difference per row is the rank sort — each distinct term ranked once,
+/// rows sorted on integer ranks.
+void BM_OrderByRanks(benchmark::State& state) {
+  rdf::TripleStore store;
+  rdf::Dictionary& dict = store.dict();
+  const rdf::TermId cat = dict.InternIri("http://bench.example/category");
+  const rdf::TermId value = dict.InternIri("http://bench.example/cat/7");
+  Rng rng(10);
+  for (int i = 0; i < 1600; ++i) {
+    // Shuffled spellings so the sort has work to do.
+    const rdf::TermId s = dict.InternIri("http://bench.example/entity/" +
+                                         std::to_string(rng.Uniform(1000000)));
+    store.AddEncoded({s, cat, value});
+  }
+  store.Compact();
+  sparql::QueryEngine engine(&store);
+  std::string text =
+      "SELECT ?s WHERE { ?s <http://bench.example/category> "
+      "<http://bench.example/cat/7> }";
+  if (state.range(0) == 1) text += " ORDER BY ?s";
+  const sparql::Query query = bench::Unwrap(sparql::ParseQuery(text));
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto r = engine.Execute(query);
+    rows += r.ok() ? r->num_rows() : 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+  state.SetLabel(state.range(0) == 1 ? "order_by" : "unordered");
+}
+BENCHMARK(BM_OrderByRanks)->Arg(0)->Arg(1);
+
+/// SPARQL-results JSON for a 1,600-row, two-column table (an IRI and a
+/// language-tagged or typed literal per row); items are rows, so the
+/// reported rate gives ns/row of serve::ResultTableJson.
+void BM_ResultTableJson(benchmark::State& state) {
+  sparql::ResultTable table({"s", "label"});
+  for (int i = 0; i < 1600; ++i) {
+    rdf::Term label =
+        i % 2 == 0 ? rdf::Term::LangLiteral("Entity number " + std::to_string(i),
+                                            "en")
+                   : rdf::Term::IntLiteral(i);
+    table.AddRow({sparql::ResultCell{rdf::Term::Iri(
+                      "http://bench.example/entity/" + std::to_string(i))},
+                  sparql::ResultCell{std::move(label)}});
+  }
+  size_t rows = 0;
+  for (auto _ : state) {
+    std::string json = serve::ResultTableJson(table, /*is_ask=*/false);
+    benchmark::DoNotOptimize(json.data());
+    rows += table.num_rows();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_ResultTableJson);
 
 // Binding-row representation: the slot-addressed executor stores each
 // solution as a dense TermId vector indexed by planner-assigned slot; the

@@ -8,7 +8,7 @@
 #      (skipped with a notice when clang++ is not installed; the annotation
 #      macros are no-ops elsewhere, so only clang can check them)
 #   3. ASan+UBSan       — full tier-1 suite under address+undefined
-#   4. TSan             — obs/exec/sparql/serve concurrency tests
+#   4. TSan             — obs/exec/sparql/serve/storage concurrency tests
 #   5. mode parity      — SparqlParity suite re-run five ways on the ASan
 #      build: LODVIZ_PROFILE=1 (profiling force-enabled; pins the EXPLAIN
 #      ANALYZE observe-don't-perturb contract), LODVIZ_EXEC_MODE=row and
@@ -66,7 +66,7 @@ cmake -B "$ASAN_BUILD" -S . -C cmake/sanitize.cmake >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS"
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS"
 
-echo "== [4/6] TSan obs + exec + sparql + serve concurrency tests =="
+echo "== [4/6] TSan obs + exec + sparql + serve + storage concurrency tests =="
 # ThreadSanitizer is exclusive with ASan, so the concurrency tests get their
 # own build tree. The Exec suites cover the thread pool plus every
 # parallelized hot path (hetree, progressive, clustering, bundling, layout,
@@ -78,12 +78,16 @@ echo "== [4/6] TSan obs + exec + sparql + serve concurrency tests =="
 # for query execution and the storage layer under it.
 # The Serve suites run the full HTTP server (acceptor + worker tasks on
 # the shared pool, bounded fd queue, plan cache) under TSan — the race
-# gate for the serving layer's front door.
+# gate for the serving layer's front door. The StorageConcurrent suite
+# has four threads range-probe one shared compressed store through one
+# evicting pool, each checked against a single-threaded scan — the race
+# gate for leaf decode over shared pinned pages.
 cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLODVIZ_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_BUILD" --target obs_test exec_test sparql_parity_test \
-  serve_test -j "$JOBS"
-ctest --test-dir "$TSAN_BUILD" -R '^(Obs|Exec|SparqlParity|Serve)' \
+  serve_test storage_test -j "$JOBS"
+ctest --test-dir "$TSAN_BUILD" \
+  -R '^(Obs|Exec|SparqlParity|Serve|StorageConcurrent)' \
   --output-on-failure -j "$JOBS"
 
 echo "== [5/6] SparqlParity under forced profiling and forced exec modes =="

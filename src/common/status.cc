@@ -26,6 +26,8 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kCancelled:
       return "Cancelled";
+    case StatusCode::kCorruption:
+      return "Corruption";
   }
   return "Unknown";
 }

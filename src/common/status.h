@@ -22,6 +22,7 @@ enum class StatusCode {
   kUnimplemented,
   kInternal,
   kCancelled,
+  kCorruption,
 };
 
 /// Returns a short human-readable name for a status code ("ParseError", ...).
@@ -75,6 +76,9 @@ class [[nodiscard]] Status {
   }
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
+  }
+  static Status Corruption(std::string msg) {
+    return Status(StatusCode::kCorruption, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -34,7 +34,7 @@ namespace {
 /// Length of the well-formed UTF-8 sequence starting at s[i], or 0 when
 /// s[i] does not start one (stray continuation byte, truncated sequence,
 /// or a lead byte UTF-8 forbids: overlong 0xC0/0xC1, > U+10FFFF).
-size_t Utf8SequenceLength(const std::string& s, size_t i) {
+size_t Utf8SequenceLength(std::string_view s, size_t i) {
   const auto b0 = static_cast<unsigned char>(s[i]);
   size_t len;
   if (b0 < 0x80) {
@@ -57,58 +57,66 @@ size_t Utf8SequenceLength(const std::string& s, size_t i) {
 
 }  // namespace
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size();) {
-    const char c = s[i];
-    switch (c) {
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t i = 0;
+  while (i < s.size()) {
+    // Copy the run of printable ASCII that needs no escape in one append.
+    size_t end = i;
+    while (end < s.size()) {
+      const auto byte = static_cast<unsigned char>(s[end]);
+      if (byte < 0x20 || byte >= 0x80 || byte == '"' || byte == '\\') break;
+      ++end;
+    }
+    out->append(s.data() + i, end - i);
+    if (end == s.size()) return;
+    i = end;
+    const auto byte = static_cast<unsigned char>(s[i]);
+    switch (byte) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
       default: {
-        const auto byte = static_cast<unsigned char>(c);
-        if (byte < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(byte));
-          out += buf;
-        } else if (byte < 0x80) {
-          out.push_back(c);
-        } else {
-          // Metric/span names come from arbitrary callers, so they can
-          // contain bytes that are not UTF-8 (e.g. latin-1 data or
-          // truncated multibyte sequences). Emitting those raw would make
-          // the whole document unparseable; pass well-formed UTF-8
-          // through untouched and escape every invalid byte as \u00XX
-          // (its latin-1 reading) so the output is always valid JSON.
+        if (byte >= 0x80) {
+          // Metric/span names and literals come from arbitrary callers, so
+          // they can contain bytes that are not UTF-8 (e.g. latin-1 data
+          // or truncated multibyte sequences). Emitting those raw would
+          // make the whole document unparseable; pass well-formed UTF-8
+          // through untouched and escape every invalid byte as \u00XX so
+          // the output is always valid JSON.
           const size_t len = Utf8SequenceLength(s, i);
           if (len > 0) {
-            out.append(s, i, len);
+            out->append(s.data() + i, len);
             i += len;
             continue;
           }
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(byte));
-          out += buf;
         }
+        // A control byte or invalid UTF-8: \u00XX, its latin-1 reading.
+        const char esc[6] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                             kHex[byte & 0xF]};
+        out->append(esc, sizeof(esc));
       }
     }
     ++i;
   }
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendJsonEscaped(s, &out);
   return out;
 }
 

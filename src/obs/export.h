@@ -2,6 +2,7 @@
 #define LODVIZ_OBS_EXPORT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -33,8 +34,15 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans);
 /// Full trace document: {"traceEvents": <ChromeTraceJson(...)>}.
 std::string ChromeTraceDocument(const std::vector<SpanRecord>& spans);
 
-/// Escapes a string for embedding in a JSON string literal (no quotes
-/// added). Exposed because the bench telemetry writer reuses it.
+/// Appends `s` escaped for a JSON string literal (no quotes added) to
+/// `*out`: `"` `\` and control bytes are escaped, well-formed UTF-8 is
+/// copied as is and every byte outside it becomes \u00XX, so the output
+/// is always valid JSON. Runs of plain printable ASCII are copied with
+/// one append, so serializers write straight into their output buffer.
+void AppendJsonEscaped(std::string_view s, std::string* out);
+
+/// AppendJsonEscaped into a new string. Exposed because the bench
+/// telemetry writer reuses it.
 std::string JsonEscape(const std::string& s);
 
 }  // namespace lodviz::obs

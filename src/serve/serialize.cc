@@ -23,16 +23,16 @@ void AppendTermJson(const rdf::Term& t, std::string* out) {
       break;
   }
   out->append("\",\"value\":\"");
-  out->append(obs::JsonEscape(t.lexical));
+  obs::AppendJsonEscaped(t.lexical, out);
   out->push_back('"');
   if (t.is_literal()) {
     if (!t.language.empty()) {
       out->append(",\"xml:lang\":\"");
-      out->append(obs::JsonEscape(t.language));
+      obs::AppendJsonEscaped(t.language, out);
       out->push_back('"');
     } else if (!t.datatype.empty()) {
       out->append(",\"datatype\":\"");
-      out->append(obs::JsonEscape(t.datatype));
+      obs::AppendJsonEscaped(t.datatype, out);
       out->push_back('"');
     }
   }
@@ -55,7 +55,7 @@ std::string ResultTableJson(const sparql::ResultTable& table, bool is_ask) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
-    out.append(obs::JsonEscape(v));
+    obs::AppendJsonEscaped(v, &out);
     out.push_back('"');
   }
   out.append("]},\"results\":{\"bindings\":[");
@@ -70,7 +70,7 @@ std::string ResultTableJson(const sparql::ResultTable& table, bool is_ask) {
       if (!first_cell) out.push_back(',');
       first_cell = false;
       out.push_back('"');
-      out.append(obs::JsonEscape(table.columns()[i]));
+      obs::AppendJsonEscaped(table.columns()[i], &out);
       out.append("\":");
       AppendTermJson(row[i].term, &out);
     }

@@ -14,9 +14,10 @@ namespace lodviz::serve {
 ///  - JSON, following the shape of the SPARQL 1.1 Query Results JSON
 ///    format: {"head":{"vars":[...]},"results":{"bindings":[...]}} with
 ///    per-cell {"type","value"[,"xml:lang"|"datatype"]} objects, and
-///    {"head":{},"boolean":b} for ASK. String escaping goes through the
-///    UTF-8-hardened obs::JsonEscape, so hostile literals (control bytes,
-///    truncated UTF-8 sequences) cannot break the envelope.
+///    {"head":{},"boolean":b} for ASK. Strings are escaped straight into
+///    the output by the UTF-8-hardened obs::AppendJsonEscaped, so hostile
+///    literals (control bytes, truncated UTF-8 sequences) cannot break the
+///    envelope.
 ///  - TSV, one header row of ?var names then one term per cell in
 ///    canonical N-Triples spelling (empty cell = unbound), matching what
 ///    the check-gate differ and spreadsheet imports want.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -96,60 +97,126 @@ struct TermVecHash {
   }
 };
 
-/// Three-way ORDER BY comparison over two bound terms. Total and
-/// deterministic: terms compare by value class first (numeric < temporal
-/// < boolean < everything else), then by decoded value within the class,
-/// and terms in the last class — plain/lang/undecodable literals, IRIs,
-/// blanks, and NaN numerics — compare by their N-Triples spelling, so
-/// "error" terms sort after all comparable values instead of mapping a
-/// comparison failure to "equal". The previous comparator did the latter
-/// (`cv = c.ok() ? value : 0`), which is asymmetric when only one pairing
-/// errors and breaks the strict weak ordering std::stable_sort requires
-/// (undefined behavior); it also compared mixed numeric/lexical pairs
-/// lexically, making `5 ~ "abc" ~ 3` intransitive. Value-equal terms with
-/// different spellings (`30` vs `"+30"^^xsd:integer`) stay equivalent so
-/// secondary sort keys still apply.
-int CompareCellsForOrder(const Term& a, const Term& b) {
-  // 0 = numeric, 1 = temporal, 2 = boolean, 3 = lexical/error.
-  auto cls = [](const rdf::DecodedValue& v) {
-    switch (v.kind) {
-      case rdf::DecodedValue::Kind::kNum:
-        // NaN compares false both ways; keep it out of the numeric class
-        // or it would be "equivalent" to every number at once.
-        return std::isnan(v.num) ? 3 : 0;
-      case rdf::DecodedValue::Kind::kTime:
-        return 1;
-      case rdf::DecodedValue::Kind::kBool:
-        return 2;
-      case rdf::DecodedValue::Kind::kNone:
-        return 3;
-    }
-    return 3;
-  };
-  const rdf::DecodedValue da = rdf::DecodeTerm(a);
-  const rdf::DecodedValue db = rdf::DecodeTerm(b);
-  const int ca = cls(da);
-  const int cb = cls(db);
-  if (ca != cb) return ca < cb ? -1 : 1;
-  switch (ca) {
+/// One bound term as ORDER BY sees it: its order class (0 = numeric,
+/// 1 = temporal, 2 = boolean, 3 = lexical/error), its decoded value, and —
+/// for class 3 only, the one class compared by spelling — its N-Triples
+/// form.
+struct OrderValue {
+  int cls = 3;
+  rdf::DecodedValue value;
+  std::string spelling;
+};
+
+/// `decoded` must be rdf::DecodeTerm(term) — for an interned term, the
+/// dictionary's cached dict.decoded(id).
+OrderValue OrderValueOf(const Term& term, const rdf::DecodedValue& decoded) {
+  OrderValue v;
+  v.value = decoded;
+  switch (decoded.kind) {
+    case rdf::DecodedValue::Kind::kNum:
+      // NaN compares false both ways; keep it out of the numeric class
+      // or it would be "equivalent" to every number at once.
+      v.cls = std::isnan(decoded.num) ? 3 : 0;
+      break;
+    case rdf::DecodedValue::Kind::kTime:
+      v.cls = 1;
+      break;
+    case rdf::DecodedValue::Kind::kBool:
+      v.cls = 2;
+      break;
+    case rdf::DecodedValue::Kind::kNone:
+      v.cls = 3;
+      break;
+  }
+  if (v.cls == 3) v.spelling = term.ToNTriples();
+  return v;
+}
+
+/// Three-way ORDER BY comparison over two bound terms — the one
+/// definition of result order. Total and deterministic: terms compare by
+/// value class first (numeric < temporal < boolean < everything else),
+/// then by decoded value within the class, and terms in the last class —
+/// plain/lang/undecodable literals, IRIs, blanks, and NaN numerics —
+/// compare by their N-Triples spelling, so "error" terms sort after all
+/// comparable values instead of mapping a comparison failure to "equal"
+/// (which would break the strict weak ordering a sort requires).
+/// Value-equal terms with different spellings (`30` vs
+/// `"+30"^^xsd:integer`) stay equivalent so secondary sort keys still
+/// apply.
+int CompareCellsForOrder(const OrderValue& a, const OrderValue& b) {
+  if (a.cls != b.cls) return a.cls < b.cls ? -1 : 1;
+  switch (a.cls) {
     case 0:
-      if (da.num < db.num) return -1;
-      if (da.num > db.num) return 1;
+      if (a.value.num < b.value.num) return -1;
+      if (a.value.num > b.value.num) return 1;
       return 0;
     case 1:
-      if (da.epoch < db.epoch) return -1;
-      if (da.epoch > db.epoch) return 1;
+      if (a.value.epoch < b.value.epoch) return -1;
+      if (a.value.epoch > b.value.epoch) return 1;
       return 0;
     case 2:
-      if (da.b != db.b) return da.b ? 1 : -1;
+      if (a.value.b != b.value.b) return a.value.b ? 1 : -1;
       return 0;
     default: {
-      const std::string sa = a.ToNTriples();
-      const std::string sb = b.ToNTriples();
-      if (sa != sb) return sa < sb ? -1 : 1;
-      return 0;
+      const int c = a.spelling.compare(b.spelling);
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
   }
+}
+
+/// ORDER BY ranks of one key column: ranks[i] places ids[i] in
+/// CompareCellsForOrder order, starting at 1; equivalent terms share a
+/// rank (so a later key still decides between them) and unbound cells
+/// (kInvalidTermId) rank 0. Each distinct id is ranked once, with its
+/// value from the dictionary's intern-time cache and a spelling only in
+/// class 3, so sorting rows afterwards compares integers alone.
+std::vector<uint32_t> OrderRanks(const rdf::Dictionary& dict,
+                                 const std::vector<TermId>& ids) {
+  std::vector<TermId> distinct(ids);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  if (!distinct.empty() && distinct.front() == kInvalidTermId) {
+    distinct.erase(distinct.begin());
+  }
+  std::vector<OrderValue> values;
+  values.reserve(distinct.size());
+  for (TermId id : distinct) {
+    values.push_back(OrderValueOf(dict.term(id), dict.decoded(id)));
+  }
+  std::vector<uint32_t> by_order(distinct.size());
+  std::iota(by_order.begin(), by_order.end(), 0u);
+  std::sort(by_order.begin(), by_order.end(), [&](uint32_t a, uint32_t b) {
+    return CompareCellsForOrder(values[a], values[b]) < 0;
+  });
+  std::vector<uint32_t> rank_of(distinct.size());
+  uint32_t rank = 0;
+  for (size_t i = 0; i < by_order.size(); ++i) {
+    if (i == 0 || CompareCellsForOrder(values[by_order[i - 1]],
+                                       values[by_order[i]]) != 0) {
+      ++rank;
+    }
+    rank_of[by_order[i]] = rank;
+  }
+  std::vector<uint32_t> ranks(ids.size(), 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] == kInvalidTermId) continue;
+    ranks[i] = rank_of[static_cast<size_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), ids[i]) -
+        distinct.begin())];
+  }
+  return ranks;
+}
+
+/// [begin, end) of the `n` rows that OFFSET/LIMIT keep.
+std::pair<size_t, size_t> SliceBounds(size_t n, const Query& query) {
+  const size_t begin = std::min(
+      n, static_cast<size_t>(std::max<int64_t>(0, query.offset)));
+  size_t end = n;
+  if (query.limit >= 0) {
+    end = std::min(end, begin + static_cast<size_t>(query.limit));
+  }
+  return {begin, end};
 }
 
 PlannerOptions ToPlannerOptions(const QueryEngine::Options& o) {
@@ -612,7 +679,8 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
                 return *a < *b;
               });
 
-    table.Reserve(groups.size());
+    std::vector<std::vector<ResultCell>> rows;
+    rows.reserve(groups.size());
     for (const std::vector<TermId>* group_key : group_keys) {
       const std::vector<RowRef>& members = groups.find(*group_key)->second;
       std::vector<ResultCell> row;
@@ -685,8 +753,47 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
           }
         }
       }
-      table.AddRow(std::move(row));
+      rows.push_back(std::move(row));
     }
+
+    // Solution modifiers on the group table. Its cells are un-interned
+    // Terms and it has one row per group, so ORDER BY compares cells
+    // directly; without ORDER BY the groups keep ascending TermId-key
+    // order. Keys resolve through the output columns (group variables and
+    // aggregate aliases); any other key is ignored, as on the plain path.
+    // DISTINCT has nothing to remove: every row carries its own group key,
+    // and group keys are distinct.
+    std::vector<std::pair<size_t, bool>> sort_keys;  // column, ascending
+    for (const OrderKey& k : query.order_by) {
+      for (size_t c = 0; c < out_columns.size(); ++c) {
+        if (out_columns[c] == k.var) {
+          sort_keys.emplace_back(c, k.ascending);
+          break;
+        }
+      }
+    }
+    if (!sort_keys.empty()) {
+      auto order_value = [](const ResultCell& cell) {
+        return OrderValueOf(cell.term, rdf::DecodeTerm(cell.term));
+      };
+      std::stable_sort(
+          rows.begin(), rows.end(),
+          [&](const std::vector<ResultCell>& a,
+              const std::vector<ResultCell>& b) {
+            for (const auto& [c, ascending] : sort_keys) {
+              if (!a[c].bound && !b[c].bound) continue;
+              if (!a[c].bound) return ascending;
+              if (!b[c].bound) return !ascending;
+              const int cv =
+                  CompareCellsForOrder(order_value(a[c]), order_value(b[c]));
+              if (cv != 0) return ascending ? cv < 0 : cv > 0;
+            }
+            return false;
+          });
+    }
+    const auto [begin, end] = SliceBounds(rows.size(), query);
+    table.Reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) table.AddRow(std::move(rows[i]));
     rows_out = table.num_rows();
     return table;
   }
@@ -698,12 +805,14 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
   // rows, same order, fewer Term copies.
   std::vector<RowRef> refs = CollectRefs(solutions);
 
-  // ORDER BY. Sort keys resolve through the projected columns, as before:
-  // an ORDER BY variable that is not projected is silently ignored
-  // (longstanding behavior, preserved).
+  // ORDER BY. Sort keys resolve through the projected columns: an ORDER BY
+  // variable that is not projected is silently ignored (longstanding
+  // behavior, preserved). Each key ranks its distinct terms once
+  // (OrderRanks); rows then sort on integer rank tuples. A DESC key flips
+  // its ranks, unbound included, so unbound rows sort first ascending and
+  // last descending. The sort is stable: ties keep solution order.
   if (!query.order_by.empty()) {
-    std::vector<SlotId> key_slots;
-    key_slots.reserve(query.order_by.size());
+    std::vector<std::vector<uint32_t>> key_ranks;
     for (const OrderKey& k : query.order_by) {
       SlotId slot = kNoSlot;
       for (size_t c = 0; c < columns.size(); ++c) {
@@ -712,26 +821,30 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
           break;
         }
       }
-      key_slots.push_back(slot);
+      if (slot == kNoSlot) continue;  // every row unbound: never decides
+      std::vector<TermId> ids(refs.size());
+      for (size_t i = 0; i < refs.size(); ++i) {
+        ids[i] = SlotAt(solutions, refs[i], slot);
+      }
+      std::vector<uint32_t> ranks = OrderRanks(dict, ids);
+      if (!k.ascending && !ranks.empty()) {
+        const uint32_t top = *std::max_element(ranks.begin(), ranks.end());
+        for (uint32_t& r : ranks) r = top - r;
+      }
+      key_ranks.push_back(std::move(ranks));
     }
-    std::stable_sort(
-        refs.begin(), refs.end(), [&](const RowRef a, const RowRef b) {
-          for (size_t i = 0; i < key_slots.size(); ++i) {
-            // A key over an unprojected variable resolved to kNoSlot above;
-            // SlotAt then yields "unbound" on both sides and the key is
-            // skipped via the both-unbound case.
-            const TermId ia = SlotAt(solutions, a, key_slots[i]);
-            const TermId ib = SlotAt(solutions, b, key_slots[i]);
-            if (ia == ib) continue;  // same id: identical term
-            if (ia == kInvalidTermId) return query.order_by[i].ascending;
-            if (ib == kInvalidTermId) return !query.order_by[i].ascending;
-            int cv = CompareCellsForOrder(dict.term(ia), dict.term(ib));
-            if (cv != 0) {
-              return query.order_by[i].ascending ? cv < 0 : cv > 0;
-            }
-          }
-          return false;
-        });
+    std::vector<uint32_t> perm(refs.size());
+    std::iota(perm.begin(), perm.end(), 0u);
+    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+      for (const std::vector<uint32_t>& ranks : key_ranks) {
+        if (ranks[a] != ranks[b]) return ranks[a] < ranks[b];
+      }
+      return false;
+    });
+    std::vector<RowRef> sorted;
+    sorted.reserve(refs.size());
+    for (uint32_t i : perm) sorted.push_back(refs[i]);
+    refs = std::move(sorted);
   }
 
   // DISTINCT: first occurrence wins, keyed on the projected TermId tuple
@@ -752,13 +865,7 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
 
   // OFFSET / LIMIT: slice the reference list before materializing.
   if (query.offset > 0 || query.limit >= 0) {
-    const size_t begin =
-        std::min(refs.size(), static_cast<size_t>(std::max<int64_t>(
-                                  0, query.offset)));
-    size_t end = refs.size();
-    if (query.limit >= 0) {
-      end = std::min(end, begin + static_cast<size_t>(query.limit));
-    }
+    const auto [begin, end] = SliceBounds(refs.size(), query);
     refs.assign(refs.begin() + static_cast<ptrdiff_t>(begin),
                 refs.begin() + static_cast<ptrdiff_t>(end));
   }

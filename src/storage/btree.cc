@@ -76,6 +76,21 @@ CompressedLeafReader ReaderFor(const uint8_t* page) {
   return CompressedLeafReader(page, sizeof(PageHeader), Header(page)->count);
 }
 
+/// A node's kind and entry count must be ones this tree writes, so a
+/// corrupt header gives an error instead of a read past the page.
+Status CheckNode(const PageHeader* h) {
+  if (h->is_leaf == 0) {
+    if (h->count <= kInternalCapacity) return Status::OK();
+  } else if (h->is_leaf == static_cast<uint8_t>(LeafFormat::kFixed)) {
+    if (h->count <= kLeafCapacity) return Status::OK();
+  } else if (IsCompressedLeaf(h)) {
+    return Status::OK();  // the leaf reader checks its own layout
+  }
+  return Status::Corruption("btree page header: kind " +
+                            std::to_string(h->is_leaf) + ", count " +
+                            std::to_string(h->count));
+}
+
 /// Re-encodes `items[begin, end)` into `page` as a compressed leaf,
 /// preserving the header's next_leaf link. The range must fit (callers
 /// only re-encode ranges no larger than what the page held before).
@@ -112,11 +127,12 @@ Result<uint64_t> BTree::Lookup(const Key128& key) const {
   while (true) {
     LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
     const PageHeader* h = Header(page.data());
+    LODVIZ_RETURN_NOT_OK(CheckNode(h));
     if (h->is_leaf) {
       if (IsCompressedLeaf(h)) {
         uint64_t value = 0;
-        if (ReaderFor(page.data()).Find(key, &value)) return value;
-        return Status::NotFound("key not in btree");
+        LODVIZ_RETURN_NOT_OK(ReaderFor(page.data()).Find(key, &value));
+        return value;
       }
       const LeafEntry* entries = LeafEntries(page.data());
       const LeafEntry* end = entries + h->count;
@@ -142,7 +158,10 @@ Result<BTree::SplitResult> BTree::InsertCompressedLeaf(PageRef& page,
   // bulk load are the rare case (the store bulk-loads), and the fixed
   // format remains available where insert-heavy use matters.
   std::vector<Item> items;
-  ReaderFor(page.data()).DecodeFrom(Key128::Min(), &items);
+  LODVIZ_ASSIGN_OR_RETURN(
+      LeafRange all,
+      ReaderFor(page.data()).DecodeRange(Key128::Min(), Key128::Max(), &items));
+  items.resize(all.n);
   auto it = std::lower_bound(
       items.begin(), items.end(), key,
       [](const Item& e, const Key128& k) { return e.key < k; });
@@ -198,6 +217,7 @@ Result<BTree::SplitResult> BTree::InsertRec(PageId page_id, const Key128& key,
                                             uint64_t value) {
   LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
   PageHeader* h = Header(page.data());
+  LODVIZ_RETURN_NOT_OK(CheckNode(h));
 
   if (h->is_leaf) {
     if (IsCompressedLeaf(h)) return InsertCompressedLeaf(page, key, value);
@@ -337,6 +357,7 @@ Status BTree::RangeScanRuns(
   while (true) {
     LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
     const PageHeader* h = Header(page.data());
+    LODVIZ_RETURN_NOT_OK(CheckNode(h));
     if (h->is_leaf) break;
     const Key128* keys = InternalKeys(page.data());
     const PageId* children = InternalChildren(page.data());
@@ -345,39 +366,44 @@ Status BTree::RangeScanRuns(
     page_id = children[idx];
   }
 
-  // Walk leaves via next pointers, delivering one run per leaf. The
-  // decode scratch is reused across leaves; only the first leaf needs the
-  // lower-bound seek (every later leaf starts above `lo`).
+  // Walk leaves via next pointers, delivering one run per leaf, until a
+  // leaf reports a key above `hi`. Compressed leaves decode only their
+  // in-range blocks into `scratch`, which is reused across leaves; only
+  // the first leaf needs the lower-bound seek (every later leaf starts
+  // above `lo`).
   std::vector<Item> scratch;
   Key128 seek = lo;
   while (page_id != kInvalidPageId) {
     LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
     const PageHeader* h = Header(page.data());
+    LODVIZ_RETURN_NOT_OK(CheckNode(h));
+    if (!h->is_leaf) {
+      return Status::Corruption("btree leaf chain reaches an internal node");
+    }
     const Item* run = nullptr;
-    size_t n = 0;
+    LeafRange range;
     if (IsCompressedLeaf(h)) {
-      scratch.clear();
-      ReaderFor(page.data()).DecodeFrom(seek, &scratch);
+      LODVIZ_ASSIGN_OR_RETURN(range,
+                              ReaderFor(page.data()).DecodeRange(seek, hi,
+                                                                 &scratch));
       run = scratch.data();
-      n = scratch.size();
     } else {
       const LeafEntry* entries = LeafEntries(page.data());
       const LeafEntry* end = entries + h->count;
-      const LeafEntry* it = std::lower_bound(
+      const LeafEntry* first = std::lower_bound(
           entries, end, seek,
           [](const LeafEntry& e, const Key128& k) { return e.key < k; });
+      const LeafEntry* cut = std::upper_bound(
+          first, end, hi,
+          [](const Key128& k, const LeafEntry& e) { return k < e.key; });
       // LeafEntry and Item are layout-identical (static_assert above), so
       // fixed leaves deliver their page bytes as the run without a copy.
-      run = reinterpret_cast<const Item*>(it);
-      n = static_cast<size_t>(end - it);
+      run = reinterpret_cast<const Item*>(first);
+      range.n = static_cast<size_t>(cut - first);
+      range.past_hi = cut != end;
     }
-    // Trim the run at `hi`; anything past it ends the scan.
-    const Item* cut = std::upper_bound(
-        run, run + n, hi,
-        [](const Key128& k, const Item& e) { return k < e.key; });
-    const size_t m = static_cast<size_t>(cut - run);
-    if (m > 0 && !fn(run, m)) return Status::OK();
-    if (m < n) return Status::OK();
+    if (range.n > 0 && !fn(run, range.n)) return Status::OK();
+    if (range.past_hi) return Status::OK();
     seek = Key128::Min();
     page_id = h->next_leaf;
   }

@@ -56,10 +56,13 @@ class BTree {
                    const std::function<bool(const Item&)>& fn) const;
 
   /// Run-granular variant of RangeScan: delivers each leaf's in-range
-  /// items as one decoded run (fixed leaves: the page's entry range;
-  /// compressed leaves: one decode of the page). The concatenation of the
-  /// runs is exactly the RangeScan item sequence; return false to stop.
-  /// Run pointers are only valid during the callback.
+  /// items as one run (fixed leaves: the page's entry range, no copy;
+  /// compressed leaves: a decode of only the restart blocks that overlap
+  /// [lo, hi]). The scan ends at the first leaf holding a key above hi.
+  /// The concatenation of the runs is exactly the RangeScan item
+  /// sequence; return false to stop. Run pointers are only valid during
+  /// the callback. A corrupt page gives a non-OK status (Corruption),
+  /// possibly after some runs were delivered.
   Status RangeScanRuns(
       const Key128& lo, const Key128& hi,
       const std::function<bool(const Item* run, size_t n)>& fn) const;

@@ -4,9 +4,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/result.h"
 #include "storage/page_file.h"
 
 namespace lodviz::storage {
@@ -228,10 +230,27 @@ class CompressedLeafBuilder {
   size_t count_ = 0;
 };
 
+/// What one CompressedLeafReader::DecodeRange call produced: `n` in-range
+/// entries at the front of the scratch buffer, and whether the leaf holds a
+/// key above `hi` — then no later leaf can hold an in-range key and a scan
+/// walking the leaf chain is over.
+struct LeafRange {
+  size_t n = 0;
+  bool past_hi = false;
+};
+
 /// Reads one compressed leaf built by CompressedLeafBuilder. Stateless
 /// over const page bytes, so concurrent readers of one pinned page are
 /// safe. `ItemT` is any struct with Key128 `key` and uint64_t `value`
 /// members (storage::BTree::Item, bench-local mirrors, ...).
+///
+/// A read costs what its answer costs: DecodeRange decodes only the
+/// restart blocks that can hold keys in [lo, hi] — found by two binary
+/// searches over the restart directory — and stops at the first key above
+/// hi, so a 10-entry probe into a ~1,300-entry leaf decodes one or two
+/// 16-entry blocks. Corrupt page bytes (a directory that does not match
+/// the entry count, an offset outside the page, a truncated varint, keys
+/// that do not ascend) give Status::Corruption; no read leaves the page.
 class CompressedLeafReader {
  public:
   /// `count` comes from the caller's page header.
@@ -256,48 +275,13 @@ class CompressedLeafReader {
     return leaf_internal::LoadRestartKey(page_, header_bytes_, b);
   }
 
-  /// Decodes block `b` into `out` (room for kLeafRestartInterval items);
-  /// returns the number decoded.
-  template <typename ItemT>
-  size_t DecodeBlock(size_t b, ItemT* out) const {
-    const size_t n = BlockCount(b);
-    const uint8_t* p =
-        page_ + leaf_internal::LoadRestartOffset(page_, header_bytes_, b);
-    const uint8_t* limit = page_ + kPageSize;
-    Key128 key = RestartKey(b);
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t tag = *p++;
-      if (i != 0) {
-        uint64_t a = 0;
-        if (tag & leaf_internal::kTagHiChanged) {
-          p = GetVarint64(p, limit, &a);
-          LODVIZ_CHECK(p != nullptr) << "corrupt compressed leaf";
-          key.hi += a;
-          p = GetVarint64(p, limit, &key.lo);
-        } else {
-          p = GetVarint64(p, limit, &a);
-          key.lo += a;
-        }
-        LODVIZ_CHECK(p != nullptr) << "corrupt compressed leaf";
-      }
-      uint64_t value = 0;
-      if (tag & leaf_internal::kTagHasValue) {
-        p = GetVarint64(p, limit, &value);
-        LODVIZ_CHECK(p != nullptr) << "corrupt compressed leaf";
-      }
-      out[i].key = key;
-      out[i].value = value;
-    }
-    return n;
-  }
-
-  /// First block that can contain a key >= `lo`: the last block whose
-  /// restart key is <= lo (earlier blocks end below lo), clamped to 0.
-  size_t SeekBlock(const Key128& lo) const {
+  /// Block that can contain `key`: the last block whose restart key is
+  /// <= key (earlier blocks end below it), clamped to 0.
+  size_t SeekBlock(const Key128& key) const {
     size_t first = 0, last = n_restarts_;
     while (last - first > 1) {
       const size_t mid = (first + last) / 2;
-      if (RestartKey(mid) <= lo) {
+      if (RestartKey(mid) <= key) {
         first = mid;
       } else {
         last = mid;
@@ -306,40 +290,136 @@ class CompressedLeafReader {
     return first;
   }
 
-  /// Appends every entry with key >= `lo` to `out`, in key order.
+  /// Decodes the entries with lo <= key <= hi, in key order, to the front
+  /// of `*scratch`. The buffer is resized to fit and never shrunk, so one
+  /// buffer reused across the leaves of a scan allocates only when a leaf
+  /// needs more room than any before it.
   template <typename ItemT>
-  void DecodeFrom(const Key128& lo, std::vector<ItemT>* out) const {
-    if (count_ == 0) return;
-    ItemT block[kLeafRestartInterval];
-    for (size_t b = SeekBlock(lo); b < n_restarts_; ++b) {
-      const size_t n = DecodeBlock(b, block);
+  Result<LeafRange> DecodeRange(const Key128& lo, const Key128& hi,
+                                std::vector<ItemT>* scratch) const {
+    LeafRange r;
+    if (count_ == 0) return r;
+    LODVIZ_RETURN_NOT_OK(CheckLayout());
+    // Blocks after `last` start above hi, so they are never decoded; the
+    // caller learns they exist through past_hi.
+    const size_t first = SeekBlock(lo);
+    const size_t last = SeekBlock(hi);
+    r.past_hi = last + 1 < n_restarts_;
+    if (last < first) return r;
+    const size_t room = (last - first + 1) * kLeafRestartInterval;
+    if (scratch->size() < room) scratch->resize(room);
+    ItemT* out = scratch->data();
+    for (size_t b = first; b <= last; ++b) {
+      const uint8_t* p = nullptr;
+      LODVIZ_RETURN_NOT_OK(BlockStart(b, &p));
+      Key128 key = RestartKey(b);
+      const size_t n = BlockCount(b);
+      // Keys of a block lie between its restart key and the next one, so
+      // only the first block can hold keys below lo and only the last
+      // keys above hi.
+      const bool check_lo = b == first;
+      const bool check_hi = b == last;
       for (size_t i = 0; i < n; ++i) {
-        if (block[i].key < lo) continue;
-        out->push_back(block[i]);
+        uint64_t value = 0;
+        p = DecodeEntry(p, /*restart=*/i == 0, &key, &value);
+        if (p == nullptr) return CorruptLeaf("truncated or non-ascending entry");
+        if (check_lo && key < lo) continue;
+        if (check_hi && hi < key) {
+          r.past_hi = true;
+          return r;
+        }
+        out[r.n].key = key;
+        out[r.n].value = value;
+        ++r.n;
       }
     }
+    return r;
   }
 
-  /// Point lookup; false when absent.
-  bool Find(const Key128& key, uint64_t* value) const {
-    if (count_ == 0) return false;
-    struct Entry {
-      Key128 key;
-      uint64_t value;
-    } block[kLeafRestartInterval];
+  /// Point lookup: OK with `*value` set, NotFound when absent, Corruption
+  /// on bad page bytes. Decodes at most one block.
+  Status Find(const Key128& key, uint64_t* value) const {
+    if (count_ == 0) return Status::NotFound("key not found");
+    LODVIZ_RETURN_NOT_OK(CheckLayout());
     const size_t b = SeekBlock(key);
-    const size_t n = DecodeBlock(b, block);
+    const uint8_t* p = nullptr;
+    LODVIZ_RETURN_NOT_OK(BlockStart(b, &p));
+    Key128 k = RestartKey(b);
+    const size_t n = BlockCount(b);
     for (size_t i = 0; i < n; ++i) {
-      if (block[i].key == key) {
-        *value = block[i].value;
-        return true;
+      uint64_t v = 0;
+      p = DecodeEntry(p, /*restart=*/i == 0, &k, &v);
+      if (p == nullptr) return CorruptLeaf("truncated or non-ascending entry");
+      if (k == key) {
+        *value = v;
+        return Status::OK();
       }
-      if (key < block[i].key) break;
+      if (key < k) break;
     }
-    return false;
+    return Status::NotFound("key not found");
   }
 
  private:
+  static Status CorruptLeaf(const char* what) {
+    return Status::Corruption(std::string("compressed leaf: ") + what);
+  }
+
+  /// The restart directory must match the entry count and fit the page.
+  Status CheckLayout() const {
+    const size_t dir_end = leaf_internal::DirPos(header_bytes_) +
+                           n_restarts_ * leaf_internal::kRestartEntryBytes;
+    if (n_restarts_ !=
+            (count_ + kLeafRestartInterval - 1) / kLeafRestartInterval ||
+        dir_end > kPageSize) {
+      return CorruptLeaf("restart directory does not match the entry count");
+    }
+    return Status::OK();
+  }
+
+  /// Payload position of block `b`, which must lie after the directory
+  /// and inside the page.
+  Status BlockStart(size_t b, const uint8_t** p) const {
+    const size_t off = leaf_internal::LoadRestartOffset(page_, header_bytes_, b);
+    if (off < leaf_internal::DirPos(header_bytes_) +
+                  n_restarts_ * leaf_internal::kRestartEntryBytes ||
+        off >= kPageSize) {
+      return CorruptLeaf("block offset outside the payload");
+    }
+    *p = page_ + off;
+    return Status::OK();
+  }
+
+  /// Decodes the entry at `p`: the tag, then (except for a block's first
+  /// entry, whose key is the restart key already in `*key`) the key gap
+  /// from the previous key, then the value. Returns the advanced pointer,
+  /// or nullptr when the bytes run past the page or the gap is zero or
+  /// overflows (keys must strictly ascend).
+  const uint8_t* DecodeEntry(const uint8_t* p, bool restart, Key128* key,
+                             uint64_t* value) const {
+    const uint8_t* limit = page_ + kPageSize;
+    if (p >= limit) return nullptr;
+    const uint8_t tag = *p++;
+    if (!restart) {
+      uint64_t gap = 0;
+      // A zero gap or one that wraps leaves the key not above its
+      // predecessor: the sum is then <= the old value.
+      if (tag & leaf_internal::kTagHiChanged) {
+        p = GetVarint64(p, limit, &gap);
+        if (p == nullptr || key->hi + gap <= key->hi) return nullptr;
+        key->hi += gap;
+        p = GetVarint64(p, limit, &key->lo);
+      } else {
+        p = GetVarint64(p, limit, &gap);
+        if (p == nullptr || key->lo + gap <= key->lo) return nullptr;
+        key->lo += gap;
+      }
+      if (p == nullptr) return nullptr;
+    }
+    *value = 0;
+    if (tag & leaf_internal::kTagHasValue) p = GetVarint64(p, limit, value);
+    return p;
+  }
+
   const uint8_t* page_;
   size_t header_bytes_;
   size_t count_;

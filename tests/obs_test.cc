@@ -419,6 +419,32 @@ TEST(ObsExportTest, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(ctl, "\\u0001");
 }
 
+TEST(ObsExportTest, AppendJsonEscapedWritesInPlace) {
+  // Appends after what the buffer already holds.
+  std::string out = "{\"k\":\"";
+  AppendJsonEscaped("a\"b\\c\nd\x01" "caf\xC3\xA9\xFF\x7F", &out);
+  EXPECT_EQ(out, "{\"k\":\"a\\\"b\\\\c\\nd\\u0001caf\xC3\xA9\\u00ff\x7F");
+
+  // Escaping is local to each character, so a string made of random
+  // atoms escapes to the concatenation of the atoms' escapes, whichever
+  // way plain runs and escapes interleave.
+  const std::string atoms[] = {"plain text", "\"", "\\", "\n", "\r", "\t",
+                               "\x01", "\x1F", "\xC3\xA9", "\xE2\x82\xAC",
+                               "\xF0\x9F\x94\xA5", "\xFF", "\xC0", "~"};
+  Rng rng(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string text, want;
+    for (int k = 0; k < 30; ++k) {
+      const std::string& atom = atoms[rng.Uniform(std::size(atoms))];
+      text += atom;
+      want += JsonEscape(atom);
+    }
+    std::string got;
+    AppendJsonEscaped(text, &got);
+    EXPECT_EQ(got, want) << "trial " << trial;
+  }
+}
+
 TEST(ObsExportTest, JsonEscapeUtf8AndInvalidBytes) {
   // Well-formed UTF-8 passes through untouched (2-, 3- and 4-byte forms).
   EXPECT_EQ(JsonEscape("caf\xC3\xA9"), "caf\xC3\xA9");

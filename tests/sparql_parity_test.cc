@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -21,6 +23,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/random.h"
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "rdf/ntriples.h"
@@ -95,6 +98,9 @@ const char* kSelectQueries[] = {
     "SELECT ?s ?n WHERE { ?s ?p ?o . ?s <http://x/name> ?n . }",
     "SELECT ?s WHERE { ?s a <http://x/Person> . ?s <http://x/age> ?a . "
     "FILTER(?a < 36) }",
+    "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p "
+    "ORDER BY DESC(?n) ?p LIMIT 4 OFFSET 1",
+    "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p LIMIT 3",
 };
 
 const char* kGraphQueries[] = {
@@ -694,6 +700,192 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnDiskBackend) {
   }
   for (std::thread& w : workers) w.join();
   for (int i = 0; i < kThreads; ++i) EXPECT_EQ(mismatches[i], 0);
+  std::remove(path.c_str());
+}
+
+// --- ORDER BY against the comparator it replaced ------------------------
+
+/// The ORDER BY comparison the engine ran per comparison before it sorted
+/// on per-query term ranks: decode both terms and spell class-3 terms
+/// every time. Kept here as the reference the rank sort must reproduce
+/// row for row.
+int OracleCompareTerms(const rdf::Term& a, const rdf::Term& b) {
+  // 0 = numeric, 1 = temporal, 2 = boolean, 3 = lexical/error.
+  auto cls = [](const rdf::DecodedValue& v) {
+    switch (v.kind) {
+      case rdf::DecodedValue::Kind::kNum:
+        return std::isnan(v.num) ? 3 : 0;
+      case rdf::DecodedValue::Kind::kTime:
+        return 1;
+      case rdf::DecodedValue::Kind::kBool:
+        return 2;
+      case rdf::DecodedValue::Kind::kNone:
+        return 3;
+    }
+    return 3;
+  };
+  const rdf::DecodedValue da = rdf::DecodeTerm(a);
+  const rdf::DecodedValue db = rdf::DecodeTerm(b);
+  const int ca = cls(da);
+  const int cb = cls(db);
+  if (ca != cb) return ca < cb ? -1 : 1;
+  switch (ca) {
+    case 0:
+      if (da.num < db.num) return -1;
+      if (da.num > db.num) return 1;
+      return 0;
+    case 1:
+      if (da.epoch < db.epoch) return -1;
+      if (da.epoch > db.epoch) return 1;
+      return 0;
+    case 2:
+      if (da.b != db.b) return da.b ? 1 : -1;
+      return 0;
+    default: {
+      const std::string sa = a.ToNTriples();
+      const std::string sb = b.ToNTriples();
+      if (sa != sb) return sa < sb ? -1 : 1;
+      return 0;
+    }
+  }
+}
+
+/// The reference ORDER BY: std::stable_sort with the per-comparison
+/// comparator; unbound sorts first ascending and last descending.
+std::vector<std::vector<ResultCell>> OracleOrderBy(
+    std::vector<std::vector<ResultCell>> rows,
+    const std::vector<std::pair<size_t, bool>>& keys) {
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](const std::vector<ResultCell>& a,
+                       const std::vector<ResultCell>& b) {
+                     for (const auto& [c, ascending] : keys) {
+                       if (!a[c].bound && !b[c].bound) continue;
+                       if (!a[c].bound) return ascending;
+                       if (!b[c].bound) return !ascending;
+                       const int cv = OracleCompareTerms(a[c].term, b[c].term);
+                       if (cv != 0) return ascending ? cv < 0 : cv > 0;
+                     }
+                     return false;
+                   });
+  return rows;
+}
+
+std::string RowsKey(const std::vector<std::vector<ResultCell>>& rows) {
+  std::string key;
+  for (const auto& row : rows) {
+    for (const ResultCell& cell : row) {
+      key += cell.bound ? cell.term.ToNTriples() : "UNBOUND";
+      key += '\t';
+    }
+    key += '\n';
+  }
+  return key;
+}
+
+TEST(SparqlParityOrderBy, RankSortMatchesComparatorOracle) {
+  // Values that stress every branch of the order: numerics equal in value
+  // but spelled differently (so a later key must decide), NaN, dates that
+  // share an instant, booleans, IRIs, blanks, plain, language-tagged and
+  // typed literals, and a malformed number (class 3 by spelling).
+  const char* kXsd = "http://www.w3.org/2001/XMLSchema#";
+  const std::vector<std::string> values = {
+      std::string("\"30\"^^<") + kXsd + "integer>",
+      std::string("\"+30\"^^<") + kXsd + "integer>",
+      std::string("\"030\"^^<") + kXsd + "integer>",
+      std::string("\"30.0\"^^<") + kXsd + "double>",
+      std::string("\"3.0E1\"^^<") + kXsd + "double>",
+      std::string("\"-5\"^^<") + kXsd + "integer>",
+      std::string("\"2.5\"^^<") + kXsd + "decimal>",
+      std::string("\"NaN\"^^<") + kXsd + "double>",
+      std::string("\"abc\"^^<") + kXsd + "integer>",
+      std::string("\"2020-01-01\"^^<") + kXsd + "date>",
+      std::string("\"2020-01-01T00:00:00\"^^<") + kXsd + "dateTime>",
+      std::string("\"1999-12-31\"^^<") + kXsd + "date>",
+      std::string("\"true\"^^<") + kXsd + "boolean>",
+      std::string("\"false\"^^<") + kXsd + "boolean>",
+      "<http://x/a>", "<http://x/B>", "<http://x/b>", "_:b1", "_:b2",
+      "\"abc\"", "\"Abc\"", "\"\"", "\"abc\"@en", "\"abc\"@fr",
+      "\"x\"^^<http://x/dt>",
+  };
+  Rng rng(2024);
+  std::string doc;
+  for (int e = 0; e < 120; ++e) {
+    const std::string s = "<http://x/e" + std::to_string(e) + ">";
+    const int nv = 1 + static_cast<int>(rng.Uniform(2));
+    for (int k = 0; k < nv; ++k) {
+      doc += s + " <http://x/v> " + values[rng.Uniform(values.size())] + " .\n";
+    }
+    if (rng.Uniform(10) < 6) {  // the rest leave ?w unbound
+      doc += s + " <http://x/w> " + values[rng.Uniform(values.size())] + " .\n";
+    }
+  }
+  rdf::TripleStore store;
+  ASSERT_TRUE(rdf::LoadNTriplesString(doc, &store).ok());
+  store.Compact();
+  std::vector<rdf::Triple> triples;
+  store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+    triples.push_back(t);
+    return true;
+  });
+  const std::string path =
+      "/tmp/lodviz_parity_order_" + std::to_string(::getpid()) + ".db";
+  auto disk_r = storage::DiskTripleStore::Create(path, 8);
+  ASSERT_TRUE(disk_r.ok()) << disk_r.status().ToString();
+  std::unique_ptr<storage::DiskTripleStore> disk =
+      std::move(disk_r).ValueOrDie();
+  ASSERT_TRUE(disk->BulkLoad(triples).ok());
+  storage::DiskSourceAdapter adapter(disk.get(), &store.dict());
+
+  struct Leg {
+    std::string label;
+    std::unique_ptr<QueryEngine> engine;
+  };
+  std::vector<Leg> legs;
+  const rdf::TripleSource* sources[] = {&store, &adapter};
+  for (int src = 0; src < 2; ++src) {
+    for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+      QueryEngine::Options opts;
+      opts.exec_mode = mode;
+      legs.push_back(Leg{std::string(src == 0 ? "mem" : "disk") +
+                             (mode == ExecMode::kRow ? "/row" : "/batch"),
+                         std::make_unique<QueryEngine>(sources[src], opts)});
+    }
+  }
+
+  const std::string base =
+      "SELECT ?s ?v ?w WHERE { ?s <http://x/v> ?v . "
+      "OPTIONAL { ?s <http://x/w> ?w . } }";
+  const char* vars[] = {"s", "v", "w"};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::pair<size_t, bool>> keys;
+    std::string order = " ORDER BY";
+    const size_t nkeys = 1 + rng.Uniform(3);
+    for (size_t k = 0; k < nkeys; ++k) {
+      // ?v and ?w first so ?s, which is almost unique, rarely hides them.
+      const size_t c = k + 1 < nkeys ? 1 + rng.Uniform(2) : rng.Uniform(3);
+      const bool ascending = rng.Uniform(2) == 0;
+      keys.emplace_back(c, ascending);
+      order += ascending ? std::string(" ?") + vars[c]
+                         : std::string(" DESC(?") + vars[c] + ")";
+    }
+    const bool sliced = trial % 4 == 3;
+    const std::string slice = sliced ? " LIMIT 25 OFFSET 7" : "";
+    for (const Leg& leg : legs) {
+      auto unordered = leg.engine->ExecuteString(base);
+      ASSERT_TRUE(unordered.ok()) << unordered.status().ToString();
+      std::vector<std::vector<ResultCell>> want =
+          OracleOrderBy(unordered->rows(), keys);
+      if (sliced) {
+        want.erase(want.begin(), want.begin() + std::min<size_t>(7, want.size()));
+        if (want.size() > 25) want.resize(25);
+      }
+      auto got = leg.engine->ExecuteString(base + order + slice);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(RowsKey(want), RowsKey(got->rows()))
+          << leg.label << ": " << order << slice;
+    }
+  }
+  disk.reset();
   std::remove(path.c_str());
 }
 

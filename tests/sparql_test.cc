@@ -273,6 +273,71 @@ TEST_F(EngineFixture, AggregatesWithGroupBy) {
   EXPECT_EQ(t.rows()[1 - company][1].term.lexical, "3");
 }
 
+// Solution modifiers apply to the group table. Predicate counts in the
+// fixture: type 4, name 3, age 3, knows 2, city 2, worksAt 1.
+TEST_F(EngineFixture, AggregateOrderByDescAndLimit) {
+  ResultTable t = Run(
+      "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p "
+      "ORDER BY DESC(?n) LIMIT 1");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.rows()[0][0].term.lexical,
+            "http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+  EXPECT_EQ(t.rows()[0][1].term.lexical, "4");
+}
+
+TEST_F(EngineFixture, AggregateOrderByTieBreakAndOffset) {
+  const std::string q =
+      "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p "
+      "ORDER BY DESC(?n) ?p";
+  ResultTable t = Run(q);
+  std::vector<std::string> got;
+  for (const auto& row : t.rows()) {
+    got.push_back(row[0].term.lexical + "=" + row[1].term.lexical);
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "http://www.w3.org/1999/02/22-rdf-syntax-ns#type=4",
+                     "http://x/age=3", "http://x/name=3", "http://x/city=2",
+                     "http://x/knows=2", "http://x/worksAt=1"}));
+
+  ResultTable page = Run(q + " LIMIT 2 OFFSET 1");
+  ASSERT_EQ(page.num_rows(), 2u);
+  EXPECT_EQ(page.rows()[0][0].term.lexical, "http://x/age");
+  EXPECT_EQ(page.rows()[1][0].term.lexical, "http://x/name");
+  EXPECT_EQ(Run(q + " OFFSET 10").num_rows(), 0u);
+
+  // Ascending on the count, then the key: ties resolve the same way.
+  ResultTable asc = Run(
+      "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p "
+      "ORDER BY ?n ?p LIMIT 3");
+  ASSERT_EQ(asc.num_rows(), 3u);
+  EXPECT_EQ(asc.rows()[0][0].term.lexical, "http://x/worksAt");
+  EXPECT_EQ(asc.rows()[1][0].term.lexical, "http://x/city");
+  EXPECT_EQ(asc.rows()[2][0].term.lexical, "http://x/knows");
+}
+
+TEST_F(EngineFixture, AggregateWithoutOrderByKeepsGroupKeyOrder) {
+  // No ORDER BY: groups come out in ascending TermId order of their keys,
+  // which here is the order the predicates were first interned.
+  ResultTable t = Run(
+      "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p");
+  std::vector<std::string> got;
+  for (const auto& row : t.rows()) got.push_back(row[0].term.lexical);
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
+                     "http://x/name", "http://x/age", "http://x/knows",
+                     "http://x/worksAt", "http://x/city"}));
+  // DISTINCT keeps every group: each row carries its own group key.
+  EXPECT_EQ(Run("SELECT DISTINCT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } "
+                "GROUP BY ?p")
+                .num_rows(),
+            6u);
+  // LIMIT without ORDER BY cuts the group-key order.
+  ResultTable first = Run(
+      "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p LIMIT 2");
+  ASSERT_EQ(first.num_rows(), 2u);
+  EXPECT_EQ(first.rows()[1][0].term.lexical, "http://x/name");
+}
+
 TEST_F(EngineFixture, NumericAggregates) {
   ResultTable t = Run(
       "SELECT (SUM(?a) AS ?sum) (AVG(?a) AS ?avg) (MIN(?a) AS ?lo) (MAX(?a) AS ?hi) "

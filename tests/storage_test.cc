@@ -3,10 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "rdf/triple_store.h"
@@ -553,8 +556,10 @@ TEST(LeafCodecTest, BuildDecodeFindRoundTrip) {
 
   CompressedLeafReader reader(page, header, count);
   std::vector<BTree::Item> decoded;
-  reader.DecodeFrom(Key128::Min(), &decoded);
-  ASSERT_EQ(decoded.size(), items.size());
+  LeafRange all =
+      test::Unwrap(reader.DecodeRange(Key128::Min(), Key128::Max(), &decoded));
+  ASSERT_EQ(all.n, items.size());
+  EXPECT_FALSE(all.past_hi);
   for (size_t i = 0; i < items.size(); ++i) {
     EXPECT_TRUE(decoded[i].key == items[i].key) << i;
     EXPECT_EQ(decoded[i].value, items[i].value) << i;
@@ -563,18 +568,19 @@ TEST(LeafCodecTest, BuildDecodeFindRoundTrip) {
   // Point lookups: every key found, gaps absent.
   for (const BTree::Item& item : items) {
     uint64_t v = ~0ULL;
-    ASSERT_TRUE(reader.Find(item.key, &v));
+    ASSERT_TRUE(reader.Find(item.key, &v).ok());
     EXPECT_EQ(v, item.value);
   }
   uint64_t v;
-  EXPECT_FALSE(reader.Find({1, 1}, &v));
-  EXPECT_FALSE(reader.Find({items[3].key.hi, items[3].key.lo + 1}, &v));
+  EXPECT_EQ(reader.Find({1, 1}, &v).code(), StatusCode::kNotFound);
+  EXPECT_EQ(reader.Find({items[3].key.hi, items[3].key.lo + 1}, &v).code(),
+            StatusCode::kNotFound);
 
-  // Mid-page seek: DecodeFrom(k) returns exactly the suffix from k on.
+  // Mid-page seek: [k, Max] returns exactly the suffix from k on.
   const Key128 mid = items[items.size() / 2].key;
-  decoded.clear();
-  reader.DecodeFrom(mid, &decoded);
-  ASSERT_EQ(decoded.size(), items.size() - items.size() / 2);
+  LeafRange suffix =
+      test::Unwrap(reader.DecodeRange(mid, Key128::Max(), &decoded));
+  ASSERT_EQ(suffix.n, items.size() - items.size() / 2);
   EXPECT_TRUE(decoded.front().key == mid);
 }
 
@@ -881,6 +887,347 @@ TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
       }
     }
   }
+}
+
+// ---- range decode ----
+
+/// Keys of `items` inside [lo, hi], in order — the model every range
+/// decode is checked against.
+std::vector<BTree::Item> ItemsInRange(const std::vector<BTree::Item>& items,
+                                      const Key128& lo, const Key128& hi) {
+  std::vector<BTree::Item> out;
+  for (const BTree::Item& item : items) {
+    if (lo <= item.key && item.key <= hi) out.push_back(item);
+  }
+  return out;
+}
+
+/// Strictly ascending random keys with shared-`hi` runs (the triple-index
+/// shape) and a mix of zero and non-zero values.
+std::vector<BTree::Item> RandomSortedItems(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> keys;
+  while (keys.size() < n) {
+    const uint64_t hi = (rng.Uniform(n / 4 + 1) << 32) | rng.Uniform(3);
+    keys[{hi, rng.Uniform(1000)}] = rng.Uniform(4) == 0 ? rng.Next() : 0;
+  }
+  std::vector<BTree::Item> items;
+  for (const auto& [k, v] : keys) items.push_back({{k.first, k.second}, v});
+  return items;
+}
+
+void ExpectSameItems(const std::vector<BTree::Item>& want,
+                     const std::vector<BTree::Item>& got,
+                     const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(want[i].key == got[i].key) << what << " i=" << i;
+    ASSERT_EQ(want[i].value, got[i].value) << what << " i=" << i;
+  }
+}
+
+TEST(LeafCodecTest, DecodeRangeReturnsExactlyTheKeysInRange) {
+  alignas(8) uint8_t page[kPageSize] = {};
+  CompressedLeafBuilder builder(page, 16);
+  const std::vector<BTree::Item> pool = RandomSortedItems(5, 4000);
+  std::vector<BTree::Item> items;
+  for (const BTree::Item& item : pool) {
+    if (!builder.Append(item.key, item.value)) break;
+    items.push_back(item);
+  }
+  const uint16_t count = builder.Finish();
+  ASSERT_GT(count, 4 * kLeafRestartInterval);
+  CompressedLeafReader reader(page, 16, count);
+
+  // Candidate bounds: every key, its neighbours in the gaps, and the
+  // extremes — so ranges start and end on, just before and just after
+  // restart-block boundaries.
+  std::vector<Key128> bounds = {Key128::Min(), Key128::Max()};
+  for (const BTree::Item& item : items) {
+    bounds.push_back(item.key);
+    bounds.push_back({item.key.hi, item.key.lo + 1});
+    if (item.key.lo > 0) bounds.push_back({item.key.hi, item.key.lo - 1});
+  }
+  Rng rng(6);
+  std::vector<BTree::Item> scratch;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const Key128 lo = bounds[rng.Uniform(bounds.size())];
+    const Key128 hi = bounds[rng.Uniform(bounds.size())];
+    const std::vector<BTree::Item> want = ItemsInRange(items, lo, hi);
+    LeafRange got = test::Unwrap(reader.DecodeRange(lo, hi, &scratch));
+    ASSERT_EQ(got.n, want.size()) << "trial " << trial;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(scratch[i].key == want[i].key) << trial << " " << i;
+      ASSERT_EQ(scratch[i].value, want[i].value) << trial << " " << i;
+    }
+    // past_hi says exactly whether the leaf holds a key above hi.
+    EXPECT_EQ(got.past_hi, hi < items.back().key) << "trial " << trial;
+  }
+}
+
+TEST(LeafCodecTest, TruncatedLeafIsCorruptionNotAbort) {
+  alignas(8) uint8_t page[kPageSize] = {};
+  CompressedLeafBuilder builder(page, 16);
+  const std::vector<BTree::Item> items = RandomSortedItems(7, 3000);
+  size_t n = 0;
+  while (n < items.size() && builder.Append(items[n].key, items[n].value)) ++n;
+  const uint16_t count = builder.Finish();
+  std::vector<BTree::Item> scratch;
+  uint64_t v = 0;
+
+  // Payload cut short: every byte from the last block on is a varint
+  // continuation byte, so decoding runs into the page end.
+  {
+    alignas(8) uint8_t cut[kPageSize];
+    std::memcpy(cut, page, kPageSize);
+    CompressedLeafReader probe(cut, 16, count);
+    const size_t last = probe.num_blocks() - 1;
+    uint16_t off = 0;
+    std::memcpy(&off, cut + 16 + 4 + last * 20 + 16, 2);
+    std::memset(cut + off, 0x80, kPageSize - off);
+    auto r = probe.DecodeRange(Key128::Min(), Key128::Max(), &scratch);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(probe.Find(items[count - 1].key, &v).code(),
+              StatusCode::kCorruption);
+  }
+  // An entry count the restart directory does not match.
+  {
+    CompressedLeafReader wrong(page, 16, count + kLeafRestartInterval);
+    EXPECT_EQ(wrong.DecodeRange(Key128::Min(), Key128::Max(), &scratch)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(wrong.Find(items[0].key, &v).code(), StatusCode::kCorruption);
+  }
+  // A block offset pointing outside the page.
+  {
+    alignas(8) uint8_t bad[kPageSize];
+    std::memcpy(bad, page, kPageSize);
+    const uint16_t off = 0xFFFF;
+    std::memcpy(bad + 16 + 4 + 16, &off, 2);  // block 0's offset
+    CompressedLeafReader probe(bad, 16, count);
+    EXPECT_EQ(probe.DecodeRange(Key128::Min(), Key128::Max(), &scratch)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(probe.Find(items[0].key, &v).code(), StatusCode::kCorruption);
+  }
+  // A directory larger than the page.
+  {
+    alignas(8) uint8_t bad[kPageSize];
+    std::memcpy(bad, page, kPageSize);
+    const uint16_t n_restarts = 0xFFFF;
+    std::memcpy(bad + 16, &n_restarts, 2);
+    CompressedLeafReader probe(bad, 16, size_t{0xFFFF} * kLeafRestartInterval);
+    EXPECT_EQ(probe.DecodeRange(Key128::Min(), Key128::Max(), &scratch)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+  }
+}
+
+TEST(BTreeCorruptionTest, OverwrittenLeafPayloadGivesError) {
+  PageFile file;
+  ASSERT_TRUE(file.Open(TempPath("corrupt"), true).ok());
+  BufferPool pool(&file, 16);
+  // Few enough items for one compressed leaf, which is then the root.
+  std::vector<BTree::Item> items;
+  for (uint64_t i = 0; i < 200; ++i) items.push_back({K(i / 4, i % 4), i});
+  BTree tree = test::Unwrap(BTree::BulkLoad(&pool, items,
+                                            LeafFormat::kCompressed));
+  ASSERT_EQ(tree.height(), 1);
+  {
+    PageRef leaf = test::Unwrap(pool.Fetch(tree.root()));
+    uint16_t n_restarts = 0;
+    std::memcpy(&n_restarts, leaf.data() + 16, 2);
+    const size_t payload = 16 + 4 + n_restarts * size_t{20};
+    std::memset(leaf.data() + payload, 0xFF, kPageSize - payload);
+    leaf.MarkDirty();
+  }
+  Status scan = tree.RangeScan(Key128::Min(), Key128::Max(),
+                               [](const BTree::Item&) { return true; });
+  EXPECT_EQ(scan.code(), StatusCode::kCorruption) << scan.ToString();
+  Result<uint64_t> lookup = tree.Lookup(items[0].key);
+  ASSERT_FALSE(lookup.ok());
+  EXPECT_EQ(lookup.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(tree.Insert(K(1000), 1).code(), StatusCode::kCorruption);
+
+  // A fixed leaf whose header claims more entries than a page holds.
+  PageFile fixed_file;
+  ASSERT_TRUE(fixed_file.Open(TempPath("corrupt_f"), true).ok());
+  BufferPool fixed_pool(&fixed_file, 16);
+  BTree fixed =
+      test::Unwrap(BTree::BulkLoad(&fixed_pool, items, LeafFormat::kFixed));
+  {
+    PageRef leaf = test::Unwrap(fixed_pool.Fetch(fixed.root()));
+    const uint16_t count = 0xFFFF;
+    std::memcpy(leaf.data() + 2, &count, 2);
+    leaf.MarkDirty();
+  }
+  EXPECT_EQ(fixed
+                .RangeScan(Key128::Min(), Key128::Max(),
+                           [](const BTree::Item&) { return true; })
+                .code(),
+            StatusCode::kCorruption);
+}
+
+/// Range decode on compressed leaves against the fixed layout (whose runs
+/// are the page bytes themselves) and against the sorted key list, on
+/// ranges placed on restart-block and leaf boundaries.
+TEST(BTreeRangeDecodeTest, CompressedRangesEqualFixedRanges) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const std::vector<BTree::Item> items = RandomSortedItems(seed, 30000);
+    PageFile fixed_file, comp_file;
+    ASSERT_TRUE(fixed_file.Open(TempPath("rd_f"), true).ok());
+    ASSERT_TRUE(comp_file.Open(TempPath("rd_c"), true).ok());
+    BufferPool fixed_pool(&fixed_file, 32), comp_pool(&comp_file, 32);
+    BTree fixed =
+        test::Unwrap(BTree::BulkLoad(&fixed_pool, items, LeafFormat::kFixed));
+    BTree comp = test::Unwrap(
+        BTree::BulkLoad(&comp_pool, items, LeafFormat::kCompressed));
+
+    // Leaf boundaries of the compressed tree: a full scan delivers one run
+    // per leaf. Block boundaries sit every kLeafRestartInterval entries
+    // from each leaf's start.
+    std::vector<size_t> leaf_starts;
+    size_t seen = 0;
+    ASSERT_TRUE(comp.RangeScanRuns(Key128::Min(), Key128::Max(),
+                                   [&](const BTree::Item*, size_t n) {
+                                     leaf_starts.push_back(seen);
+                                     seen += n;
+                                     return true;
+                                   })
+                    .ok());
+    ASSERT_EQ(seen, items.size());
+    ASSERT_GE(leaf_starts.size(), 4u);
+    std::vector<size_t> edges;  // item indexes a range may start or end at
+    for (size_t l = 0; l < leaf_starts.size(); ++l) {
+      const size_t end =
+          l + 1 < leaf_starts.size() ? leaf_starts[l + 1] : items.size();
+      for (size_t b = leaf_starts[l]; b < end; b += kLeafRestartInterval) {
+        edges.push_back(b);
+        if (b > 0) edges.push_back(b - 1);
+      }
+      edges.push_back(end - 1);
+    }
+
+    auto check = [&](const Key128& lo, const Key128& hi) {
+      const std::vector<BTree::Item> want = ItemsInRange(items, lo, hi);
+      std::vector<BTree::Item> from_fixed, from_comp;
+      ASSERT_TRUE(fixed.RangeScanRuns(lo, hi,
+                                      [&](const BTree::Item* run, size_t n) {
+                                        from_fixed.insert(from_fixed.end(),
+                                                          run, run + n);
+                                        return true;
+                                      })
+                      .ok());
+      ASSERT_TRUE(comp.RangeScanRuns(lo, hi,
+                                     [&](const BTree::Item* run, size_t n) {
+                                       from_comp.insert(from_comp.end(), run,
+                                                        run + n);
+                                       return true;
+                                     })
+                      .ok());
+      const std::string what = "seed " + std::to_string(seed) + " [" +
+                               std::to_string(lo.hi) + ":" +
+                               std::to_string(lo.lo) + ", " +
+                               std::to_string(hi.hi) + ":" +
+                               std::to_string(hi.lo) + "]";
+      ExpectSameItems(want, from_fixed, "fixed " + what);
+      ExpectSameItems(want, from_comp, "compressed " + what);
+    };
+
+    Rng rng(seed * 31);
+    for (int trial = 0; trial < 150; ++trial) {
+      const size_t a = edges[rng.Uniform(edges.size())];
+      const size_t b = edges[rng.Uniform(edges.size())];
+      check(items[std::min(a, b)].key, items[std::max(a, b)].key);
+      // Spanning several leaves.
+      const size_t far = std::min(items.size() - 1, a + 3000);
+      check(items[a].key, items[far].key);
+      check(items[a].key, Key128::Max());  // open-ended
+      check(items[a].key, items[a].key);   // single key
+      // Empty: reversed bounds, and a gap between two adjacent keys.
+      if (a + 1 < items.size()) {
+        check(items[a + 1].key, items[a].key);
+        const Key128 gap_lo{items[a].key.hi, items[a].key.lo + 1};
+        if (gap_lo < items[a + 1].key) check(gap_lo, gap_lo);
+      }
+    }
+    check(Key128::Min(), Key128::Max());
+    check(Key128::Max(), Key128::Max());
+  }
+}
+
+/// Four threads probe one shared compressed store through one buffer pool
+/// small enough to evict; every probe must equal the single-threaded
+/// answer. Run under TSan by scripts/check.sh, this is the race gate for
+/// leaf decode over shared pages.
+TEST(StorageConcurrentTest, ParallelRangeProbesMatchSerialScan) {
+  Rng rng(41);
+  std::vector<rdf::Triple> triples;
+  for (int i = 0; i < 20000; ++i) {
+    triples.emplace_back(static_cast<rdf::TermId>(1 + rng.Uniform(500)),
+                         static_cast<rdf::TermId>(1 + rng.Uniform(8)),
+                         static_cast<rdf::TermId>(1 + rng.Uniform(2000)));
+  }
+  auto disk_r =
+      DiskTripleStore::Create(TempPath("conc"), 16, LeafFormat::kCompressed);
+  ASSERT_TRUE(disk_r.ok());
+  DiskTripleStore& disk = **disk_r;
+  ASSERT_TRUE(disk.BulkLoad(triples).ok());
+
+  std::vector<rdf::TriplePattern> probes;
+  for (int i = 0; i < 200; ++i) {
+    rdf::TriplePattern pat;
+    switch (i % 4) {
+      case 0:
+        pat.s = static_cast<rdf::TermId>(1 + rng.Uniform(500));
+        break;
+      case 1:
+        pat.s = static_cast<rdf::TermId>(1 + rng.Uniform(500));
+        pat.p = static_cast<rdf::TermId>(1 + rng.Uniform(8));
+        break;
+      case 2:
+        pat.p = static_cast<rdf::TermId>(1 + rng.Uniform(8));
+        pat.o = static_cast<rdf::TermId>(1 + rng.Uniform(2000));
+        break;
+      default:
+        pat.p = static_cast<rdf::TermId>(1 + rng.Uniform(8));
+        break;
+    }
+    probes.push_back(pat);
+  }
+  auto run_probe = [&](const rdf::TriplePattern& pat,
+                       std::vector<rdf::Triple>* out) {
+    return disk.ScanRuns(pat, [&](const rdf::Triple* run, size_t n) {
+      out->insert(out->end(), run, run + n);
+      return true;
+    });
+  };
+  std::vector<std::vector<rdf::Triple>> serial(probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_TRUE(run_probe(probes[i], &serial[i]).ok());
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t k = 0; k < probes.size(); ++k) {
+          const size_t i = (k * 7 + static_cast<size_t>(t) * 53) % probes.size();
+          std::vector<rdf::Triple> got;
+          if (!run_probe(probes[i], &got).ok() || got != serial[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
