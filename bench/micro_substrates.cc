@@ -5,11 +5,13 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "exec/parallel.h"
 #include "explore/keyword.h"
 #include "geo/rtree.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "rdf/term_order.h"
 #include "rdf/triple_store.h"
 #include "serve/serialize.h"
 #include "sparql/column_batch.h"
@@ -325,10 +327,43 @@ void BM_SparqlExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_SparqlExecute);
 
-/// ORDER BY over 1,600 IRIs (the lodbench category-range answer size):
-/// Arg(0) runs the query without ORDER BY, Arg(1) with it, so the
-/// difference per row is the rank sort — each distinct term ranked once,
-/// rows sorted on integer ranks.
+/// The memory store with a term order built over its dictionary, so
+/// ORDER BY takes the rank path over the same scans as the unranked runs.
+class RankedSource : public rdf::TripleSource {
+ public:
+  explicit RankedSource(const rdf::TripleStore* store)
+      : store_(store), order_(store->dict()) {}
+  void Scan(const rdf::TriplePattern& p, const ScanFn& fn) const override {
+    store_->Scan(p, fn);
+  }
+  void ScanRuns(const rdf::TriplePattern& p,
+                const ScanRunFn& fn) const override {
+    store_->ScanRuns(p, fn);
+  }
+  uint64_t Count(const rdf::TriplePattern& p) const override {
+    return store_->Count(p);
+  }
+  const rdf::Dictionary& dict() const override { return store_->dict(); }
+  const rdf::TermOrder* term_order() const override { return &order_; }
+  uint64_t size() const override { return store_->size(); }
+  uint64_t PredicateCount(rdf::TermId p) const override {
+    return store_->PredicateCount(p);
+  }
+  uint64_t PairCount(rdf::TermId s, rdf::TermId p) const override {
+    return store_->PairCount(s, p);
+  }
+
+ private:
+  const rdf::TripleStore* store_;
+  const rdf::TermOrder order_;
+};
+
+/// ORDER BY over 1,600 IRIs (the lodbench category-range answer size).
+/// Args are (order_by, ranked): (0, 0) runs the query without ORDER BY;
+/// (1, 0) sorts it over the memory store, which keeps no term order, so
+/// each distinct term is ranked per query; (1, 1) sorts it over the same
+/// store with a prebuilt rdf::TermOrder, so ranks are read, not computed.
+/// The differences per row are the two costs of ORDER BY.
 void BM_OrderByRanks(benchmark::State& state) {
   rdf::TripleStore store;
   rdf::Dictionary& dict = store.dict();
@@ -342,7 +377,11 @@ void BM_OrderByRanks(benchmark::State& state) {
     store.AddEncoded({s, cat, value});
   }
   store.Compact();
-  sparql::QueryEngine engine(&store);
+  const RankedSource ranked(&store);
+  const bool use_ranks = state.range(1) == 1;
+  sparql::QueryEngine engine(use_ranks
+                                 ? static_cast<const rdf::TripleSource*>(&ranked)
+                                 : &store);
   std::string text =
       "SELECT ?s WHERE { ?s <http://bench.example/category> "
       "<http://bench.example/cat/7> }";
@@ -354,23 +393,51 @@ void BM_OrderByRanks(benchmark::State& state) {
     rows += r.ok() ? r->num_rows() : 0;
   }
   state.SetItemsProcessed(static_cast<int64_t>(rows));
-  state.SetLabel(state.range(0) == 1 ? "order_by" : "unordered");
+  state.SetLabel(state.range(0) == 0 ? "unordered"
+                                     : (use_ranks ? "order_by/term_order"
+                                                  : "order_by/per_query"));
 }
-BENCHMARK(BM_OrderByRanks)->Arg(0)->Arg(1);
+BENCHMARK(BM_OrderByRanks)->Args({0, 0})->Args({1, 0})->Args({1, 1});
+
+/// Building the result order of the lodbench disk_pool dictionary: the
+/// program's synthetic generator at 40k entities, ~200k terms (entity and
+/// category IRIs, language-tagged labels, double ages and coordinates,
+/// dateTimes) — the set-up cost a storage::DiskSourceAdapter pays once.
+/// Arg is the thread count handed to exec::SetThreads (0 = the hardware
+/// concurrency).
+void BM_TermOrderBuild(benchmark::State& state) {
+  rdf::TripleStore store;
+  workload::GenerateSyntheticLod({.num_entities = 40000, .seed = 1}, &store);
+  const rdf::Dictionary& dict = store.dict();
+  exec::SetThreads(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    const rdf::TermOrder order(dict);
+    benchmark::DoNotOptimize(order.rank(1));
+  }
+  exec::SetThreads(0);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(dict.size()));
+  state.SetLabel(std::to_string(dict.size()) + " terms");
+}
+BENCHMARK(BM_TermOrderBuild)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 /// SPARQL-results JSON for a 1,600-row, two-column table (an IRI and a
-/// language-tagged or typed literal per row); items are rows, so the
-/// reported rate gives ns/row of serve::ResultTableJson.
+/// language-tagged or typed literal per row) whose cells are dictionary
+/// ids, as the engine returns them; items are rows, so the reported rate
+/// gives ns/row of serve::ResultTableJson, each cell's one dictionary read
+/// included.
 void BM_ResultTableJson(benchmark::State& state) {
-  sparql::ResultTable table({"s", "label"});
+  rdf::Dictionary dict;
+  sparql::ResultTable table({"s", "label"}, &dict);
   for (int i = 0; i < 1600; ++i) {
-    rdf::Term label =
-        i % 2 == 0 ? rdf::Term::LangLiteral("Entity number " + std::to_string(i),
-                                            "en")
-                   : rdf::Term::IntLiteral(i);
-    table.AddRow({sparql::ResultCell{rdf::Term::Iri(
-                      "http://bench.example/entity/" + std::to_string(i))},
-                  sparql::ResultCell{std::move(label)}});
+    const rdf::TermId label = dict.Intern(
+        i % 2 == 0 ? rdf::Term::LangLiteral(
+                         "Entity number " + std::to_string(i), "en")
+                   : rdf::Term::IntLiteral(i));
+    const rdf::TermId s =
+        dict.InternIri("http://bench.example/entity/" + std::to_string(i));
+    const sparql::ResultTable::Cell row[] = {s, label};
+    table.AddRow(row);
   }
   size_t rows = 0;
   for (auto _ : state) {

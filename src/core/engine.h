@@ -90,6 +90,10 @@ class Engine {
   size_t IngestStream(rdf::StreamSource* source, size_t batch_size);
 
   // ---- query & analysis ----
+  /// SELECT/ASK over the active backend. The table's cells are ids into
+  /// this engine's dictionary: it is valid while the engine lives (later
+  /// loads only add terms, so it stays valid across them; a reference
+  /// from term() does not).
   Result<sparql::ResultTable> Query(std::string_view sparql_text);
   /// CONSTRUCT/DESCRIBE queries (triples out).
   Result<std::vector<rdf::ParsedTriple>> QueryGraph(

@@ -88,57 +88,73 @@ Result<int64_t> Term::AsEpochSeconds() const {
 }
 
 std::string Term::ToNTriples() const {
-  switch (kind) {
-    case TermKind::kIri: {
-      std::string out;
-      out.reserve(lexical.size() + 2);
-      out += '<';
-      out += lexical;
-      out += '>';
-      return out;
-    }
+  std::string out;
+  AppendNTriples(*this, &out);
+  return out;
+}
+
+void AppendNTriples(const Term& term, std::string* out) {
+  switch (term.kind) {
+    case TermKind::kIri:
+      out->push_back('<');
+      out->append(term.lexical);
+      out->push_back('>');
+      return;
     case TermKind::kBlank:
-      return "_:" + lexical;
-    case TermKind::kLiteral: {
-      std::string out = "\"";
-      out += EscapeNTriplesString(lexical);
-      out += '"';
-      if (!language.empty()) {
-        out += "@" + language;
-      } else if (!datatype.empty()) {
-        out += "^^<" + datatype + ">";
+      out->append("_:");
+      out->append(term.lexical);
+      return;
+    case TermKind::kLiteral:
+      out->push_back('"');
+      AppendNTriplesEscaped(term.lexical, out);
+      out->push_back('"');
+      if (!term.language.empty()) {
+        out->push_back('@');
+        out->append(term.language);
+      } else if (!term.datatype.empty()) {
+        out->append("^^<");
+        out->append(term.datatype);
+        out->push_back('>');
       }
-      return out;
-    }
+      return;
   }
-  return "";
 }
 
 std::string EscapeNTriplesString(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
+  AppendNTriplesEscaped(s, &out);
   return out;
+}
+
+char NTriplesEscapeLetter(char c) {
+  switch (c) {
+    case '\\':
+      return '\\';
+    case '"':
+      return '"';
+    case '\n':
+      return 'n';
+    case '\r':
+      return 'r';
+    case '\t':
+      return 't';
+    default:
+      return 0;
+  }
+}
+
+void AppendNTriplesEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;  // start of the pending run of bytes copied verbatim
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char letter = NTriplesEscapeLetter(s[i]);
+    if (letter == 0) continue;
+    out->append(s.data() + run, i - run);
+    out->push_back('\\');
+    out->push_back(letter);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
 }
 
 Result<std::string> UnescapeNTriplesString(std::string_view s) {

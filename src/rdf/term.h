@@ -80,7 +80,8 @@ struct Term {
   /// Epoch seconds of an xsd:dateTime/xsd:date literal.
   Result<int64_t> AsEpochSeconds() const;
 
-  /// Canonical N-Triples serialization (<iri>, "lit"^^<dt>, _:b).
+  /// Canonical N-Triples serialization (<iri>, "lit"^^<dt>, _:b); wraps
+  /// AppendNTriples.
   std::string ToNTriples() const;
 
   bool operator==(const Term& other) const {
@@ -90,8 +91,18 @@ struct Term {
   bool operator!=(const Term& other) const { return !(*this == other); }
 };
 
+/// Appends the canonical N-Triples serialization of `term` to `out`,
+/// escaping literal text straight into the buffer (no temporary string).
+void AppendNTriples(const Term& term, std::string* out);
+
 /// Escapes a string for N-Triples double-quoted literals.
 std::string EscapeNTriplesString(std::string_view s);
+/// Appends EscapeNTriplesString(s) to `out` without a temporary.
+void AppendNTriplesEscaped(std::string_view s, std::string* out);
+/// The letter N-Triples writes after a backslash for `c` in literal text
+/// (`n` for a newline, `"` for a quote, ...), or 0 when `c` is written
+/// as-is — the one escaping table both functions above use.
+char NTriplesEscapeLetter(char c);
 /// Reverses EscapeNTriplesString; error on malformed escapes.
 Result<std::string> UnescapeNTriplesString(std::string_view s);
 

@@ -9,6 +9,8 @@
 
 namespace lodviz::rdf {
 
+class TermOrder;
+
 /// Abstract read-only source of dictionary-encoded triples: the storage
 /// contract the SPARQL engine (and every other query-shaped consumer) is
 /// written against, so the same query runs unchanged over the in-memory
@@ -61,6 +63,17 @@ class TripleSource {
 
   /// The term dictionary the triple ids refer to.
   virtual const Dictionary& dict() const = 0;
+
+  /// The result order of the dictionary's terms (term_order.h), when the
+  /// source keeps one: built once for a source whose dictionary it
+  /// considers settled, it lets ORDER BY read ranks instead of comparing
+  /// terms. nullptr — the default, and the answer of the mutable memory
+  /// store — means the consumer compares terms itself. An order may
+  /// cover fewer ids than dict() holds (terms interned after it was
+  /// built); the consumer checks TermOrder::Covers.
+  [[nodiscard]] virtual const TermOrder* term_order() const {
+    return nullptr;
+  }
 
   /// Total triples in the source.
   [[nodiscard]] virtual uint64_t size() const = 0;

@@ -15,12 +15,14 @@
 
 namespace lodviz::serve {
 
-/// Bounded LRU cache from normalized-query fingerprint to query plan —
-/// the serving layer's answer to "parse is cheap, planning walks source
-/// statistics per pattern". Keys are the 64-bit fingerprints PR 7 built
-/// (sparql/fingerprint.h): whitespace, variable naming, and literal
-/// spelling are already erased, so textually different spellings of one
-/// query share a single cached plan.
+/// Bounded LRU cache from normalized query to query plan — the serving
+/// layer's answer to "parse is cheap, planning walks source statistics
+/// per pattern". Keys are the FNV-1a/64 hashes of sparql::CanonicalQueryKey
+/// (sparql/fingerprint.h): whitespace, prefixes and variable naming are
+/// erased, so those re-spellings of one query share a cached plan, while
+/// literal constants keep their exact spelling — a plan embeds each
+/// pattern constant as the dictionary id of that spelling, so `30` and
+/// `"+30"^^xsd:integer` must not share one.
 ///
 /// A 64-bit hash can collide, and serving the wrong plan would mean
 /// serving wrong results, so every entry stores the canonical byte key

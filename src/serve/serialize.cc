@@ -59,20 +59,25 @@ std::string ResultTableJson(const sparql::ResultTable& table, bool is_ask) {
     out.push_back('"');
   }
   out.append("]},\"results\":{\"bindings\":[");
+  // Each cell's `"name":` prefix, escaped once rather than once per row.
+  std::vector<std::string> keys;
+  for (const std::string& v : table.columns()) {
+    keys.push_back("\"");
+    obs::AppendJsonEscaped(v, &keys.back());
+    keys.back().append("\":");
+  }
   first = true;
-  for (const auto& row : table.rows()) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('{');
     bool first_cell = true;
-    for (size_t i = 0; i < row.size() && i < table.columns().size(); ++i) {
-      if (!row[i].bound) continue;  // unbound cells are simply absent
+    for (size_t c = 0; c < keys.size(); ++c) {
+      if (!table.bound(r, c)) continue;  // unbound cells are simply absent
       if (!first_cell) out.push_back(',');
       first_cell = false;
-      out.push_back('"');
-      obs::AppendJsonEscaped(table.columns()[i], &out);
-      out.append("\":");
-      AppendTermJson(row[i].term, &out);
+      out.append(keys[c]);
+      AppendTermJson(table.term(r, c), &out);
     }
     out.push_back('}');
   }
@@ -93,10 +98,11 @@ std::string ResultTableTsv(const sparql::ResultTable& table, bool is_ask) {
     out.append(v);
   }
   out.push_back('\n');
-  for (const auto& row : table.rows()) {
-    for (size_t i = 0; i < row.size() && i < table.columns().size(); ++i) {
-      if (i > 0) out.push_back('\t');
-      if (row[i].bound) out.append(row[i].term.ToNTriples());
+  const size_t width = table.columns().size();
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < width; ++c) {
+      if (c > 0) out.push_back('\t');
+      if (table.bound(r, c)) rdf::AppendNTriples(table.term(r, c), &out);
     }
     out.push_back('\n');
   }
@@ -124,11 +130,11 @@ std::string TriplesJson(const std::vector<rdf::ParsedTriple>& triples) {
 std::string TriplesTsv(const std::vector<rdf::ParsedTriple>& triples) {
   std::string out;
   for (const rdf::ParsedTriple& t : triples) {
-    out.append(t.subject.ToNTriples());
+    rdf::AppendNTriples(t.subject, &out);
     out.push_back('\t');
-    out.append(t.predicate.ToNTriples());
+    rdf::AppendNTriples(t.predicate, &out);
     out.push_back('\t');
-    out.append(t.object.ToNTriples());
+    rdf::AppendNTriples(t.object, &out);
     out.push_back('\n');
   }
   return out;

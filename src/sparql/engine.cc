@@ -1,7 +1,6 @@
 #include "sparql/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -10,6 +9,7 @@
 #include <unordered_set>
 
 #include "rdf/dictionary.h"
+#include "rdf/term_order.h"
 
 #include "common/stopwatch.h"
 #include "obs/query_log.h"
@@ -56,19 +56,6 @@ TermId SlotAt(const std::vector<ColumnBatch>& solutions, RowRef r,
   return slot == kNoSlot ? kInvalidTermId : solutions[r.batch].at(r.phys, slot);
 }
 
-ResultCell CellAt(const rdf::Dictionary& dict,
-                  const std::vector<ColumnBatch>& solutions, RowRef r,
-                  SlotId slot) {
-  ResultCell cell;
-  const TermId id = SlotAt(solutions, r, slot);
-  if (id == kInvalidTermId) {
-    cell.bound = false;
-  } else {
-    cell.term = dict.term(id);
-  }
-  return cell;
-}
-
 /// Flattens the batch list into one RowRef per active row, in logical
 /// order.
 std::vector<RowRef> CollectRefs(const std::vector<ColumnBatch>& solutions) {
@@ -97,81 +84,45 @@ struct TermVecHash {
   }
 };
 
-/// One bound term as ORDER BY sees it: its order class (0 = numeric,
-/// 1 = temporal, 2 = boolean, 3 = lexical/error), its decoded value, and —
-/// for class 3 only, the one class compared by spelling — its N-Triples
-/// form.
-struct OrderValue {
-  int cls = 3;
-  rdf::DecodedValue value;
-  std::string spelling;
-};
-
-/// `decoded` must be rdf::DecodeTerm(term) — for an interned term, the
-/// dictionary's cached dict.decoded(id).
-OrderValue OrderValueOf(const Term& term, const rdf::DecodedValue& decoded) {
-  OrderValue v;
-  v.value = decoded;
-  switch (decoded.kind) {
-    case rdf::DecodedValue::Kind::kNum:
-      // NaN compares false both ways; keep it out of the numeric class
-      // or it would be "equivalent" to every number at once.
-      v.cls = std::isnan(decoded.num) ? 3 : 0;
-      break;
-    case rdf::DecodedValue::Kind::kTime:
-      v.cls = 1;
-      break;
-    case rdf::DecodedValue::Kind::kBool:
-      v.cls = 2;
-      break;
-    case rdf::DecodedValue::Kind::kNone:
-      v.cls = 3;
-      break;
-  }
-  if (v.cls == 3) v.spelling = term.ToNTriples();
-  return v;
-}
-
-/// Three-way ORDER BY comparison over two bound terms — the one
-/// definition of result order. Total and deterministic: terms compare by
-/// value class first (numeric < temporal < boolean < everything else),
-/// then by decoded value within the class, and terms in the last class —
-/// plain/lang/undecodable literals, IRIs, blanks, and NaN numerics —
-/// compare by their N-Triples spelling, so "error" terms sort after all
-/// comparable values instead of mapping a comparison failure to "equal"
-/// (which would break the strict weak ordering a sort requires).
-/// Value-equal terms with different spellings (`30` vs
-/// `"+30"^^xsd:integer`) stay equivalent so secondary sort keys still
-/// apply.
-int CompareCellsForOrder(const OrderValue& a, const OrderValue& b) {
-  if (a.cls != b.cls) return a.cls < b.cls ? -1 : 1;
-  switch (a.cls) {
-    case 0:
-      if (a.value.num < b.value.num) return -1;
-      if (a.value.num > b.value.num) return 1;
-      return 0;
-    case 1:
-      if (a.value.epoch < b.value.epoch) return -1;
-      if (a.value.epoch > b.value.epoch) return 1;
-      return 0;
-    case 2:
-      if (a.value.b != b.value.b) return a.value.b ? 1 : -1;
-      return 0;
-    default: {
-      const int c = a.spelling.compare(b.spelling);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+/// Dense ranks of `values` in result order (rdf::CompareCellsForOrder),
+/// starting at 1; equivalent values share a rank.
+std::vector<uint32_t> RankValues(const std::vector<rdf::OrderValue>& values) {
+  std::vector<uint32_t> by_order(values.size());
+  std::iota(by_order.begin(), by_order.end(), 0u);
+  std::sort(by_order.begin(), by_order.end(), [&](uint32_t a, uint32_t b) {
+    return rdf::CompareCellsForOrder(values[a], values[b]) < 0;
+  });
+  std::vector<uint32_t> rank_of(values.size());
+  uint32_t rank = 0;
+  for (size_t i = 0; i < by_order.size(); ++i) {
+    if (i == 0 || rdf::CompareCellsForOrder(values[by_order[i - 1]],
+                                            values[by_order[i]]) != 0) {
+      ++rank;
     }
+    rank_of[by_order[i]] = rank;
   }
+  return rank_of;
 }
 
-/// ORDER BY ranks of one key column: ranks[i] places ids[i] in
-/// CompareCellsForOrder order, starting at 1; equivalent terms share a
-/// rank (so a later key still decides between them) and unbound cells
-/// (kInvalidTermId) rank 0. Each distinct id is ranked once, with its
-/// value from the dictionary's intern-time cache and a spelling only in
-/// class 3, so sorting rows afterwards compares integers alone.
+/// ORDER BY ranks of one key column of dictionary ids: ranks[i] places
+/// ids[i] in result order; equivalent terms share a rank (so a later key
+/// still decides between them) and unbound cells (kInvalidTermId) rank 0.
+/// When the source's term order covers every id, the ranks are read from
+/// it. Otherwise (no order: the memory store; or ids interned after the
+/// order was built) each distinct id is ranked here once, from the
+/// dictionary's intern-time value cache. Either way, sorting rows
+/// afterwards compares integers alone.
 std::vector<uint32_t> OrderRanks(const rdf::Dictionary& dict,
+                                 const rdf::TermOrder* order,
                                  const std::vector<TermId>& ids) {
+  std::vector<uint32_t> ranks(ids.size(), 0);
+  if (order != nullptr) {
+    size_t i = 0;
+    for (; i < ids.size() && order->Covers(ids[i]); ++i) {
+      ranks[i] = order->rank(ids[i]);
+    }
+    if (i == ids.size()) return ranks;
+  }
   std::vector<TermId> distinct(ids);
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
@@ -179,26 +130,12 @@ std::vector<uint32_t> OrderRanks(const rdf::Dictionary& dict,
   if (!distinct.empty() && distinct.front() == kInvalidTermId) {
     distinct.erase(distinct.begin());
   }
-  std::vector<OrderValue> values;
+  std::vector<rdf::OrderValue> values;
   values.reserve(distinct.size());
   for (TermId id : distinct) {
-    values.push_back(OrderValueOf(dict.term(id), dict.decoded(id)));
+    values.push_back(rdf::OrderValueOf(dict.term(id), dict.decoded(id)));
   }
-  std::vector<uint32_t> by_order(distinct.size());
-  std::iota(by_order.begin(), by_order.end(), 0u);
-  std::sort(by_order.begin(), by_order.end(), [&](uint32_t a, uint32_t b) {
-    return CompareCellsForOrder(values[a], values[b]) < 0;
-  });
-  std::vector<uint32_t> rank_of(distinct.size());
-  uint32_t rank = 0;
-  for (size_t i = 0; i < by_order.size(); ++i) {
-    if (i == 0 || CompareCellsForOrder(values[by_order[i - 1]],
-                                       values[by_order[i]]) != 0) {
-      ++rank;
-    }
-    rank_of[by_order[i]] = rank;
-  }
-  std::vector<uint32_t> ranks(ids.size(), 0);
+  const std::vector<uint32_t> rank_of = RankValues(values);
   for (size_t i = 0; i < ids.size(); ++i) {
     if (ids[i] == kInvalidTermId) continue;
     ranks[i] = rank_of[static_cast<size_t>(
@@ -206,6 +143,41 @@ std::vector<uint32_t> OrderRanks(const rdf::Dictionary& dict,
         distinct.begin())];
   }
   return ranks;
+}
+
+/// A DESC key flips its ranks, unbound included, so unbound rows sort
+/// first ascending and last descending.
+void FlipRanks(std::vector<uint32_t>* ranks) {
+  if (ranks->empty()) return;
+  const uint32_t top = *std::max_element(ranks->begin(), ranks->end());
+  for (uint32_t& r : *ranks) r = top - r;
+}
+
+/// The stable order of rows [0, n) under ORDER BY keys given as rank
+/// columns (DESC already flipped): rows compare by rank tuple, ties keep
+/// row order.
+std::vector<uint32_t> SortByRanks(
+    size_t n, const std::vector<std::vector<uint32_t>>& key_ranks) {
+  std::vector<uint32_t> perm(n);
+  if (key_ranks.size() == 1) {
+    // One key: sort (rank, row) pairs packed into one word. The row index
+    // breaks ties, which makes the plain sort stable.
+    std::vector<uint64_t> packed(n);
+    for (size_t i = 0; i < n; ++i) {
+      packed[i] = (static_cast<uint64_t>(key_ranks[0][i]) << 32) | i;
+    }
+    std::sort(packed.begin(), packed.end());
+    for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(packed[i]);
+    return perm;
+  }
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    for (const std::vector<uint32_t>& ranks : key_ranks) {
+      if (ranks[a] != ranks[b]) return ranks[a] < ranks[b];
+    }
+    return false;
+  });
+  return perm;
 }
 
 /// [begin, end) of the `n` rows that OFFSET/LIMIT keep.
@@ -636,11 +608,14 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
   column_slots.reserve(columns.size());
   for (const std::string& v : columns) column_slots.push_back(plan.SlotOf(v));
 
+  const rdf::TermOrder* order = source_->term_order();
+
   // ---- Aggregation path ----
   if (!query.aggregates.empty()) {
     std::vector<std::string> out_columns = query.group_by;
     for (const Aggregate& a : query.aggregates) out_columns.push_back(a.alias);
-    ResultTable table(out_columns);
+    const size_t width = out_columns.size();
+    ResultTable table(out_columns, &dict);
 
     std::vector<SlotId> group_slots;
     group_slots.reserve(query.group_by.size());
@@ -679,49 +654,43 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
                 return *a < *b;
               });
 
-    std::vector<std::vector<ResultCell>> rows;
-    rows.reserve(groups.size());
+    // One row of cells per group, row-major: the group key's dictionary
+    // ids, then each aggregate's output — a term the table owns, or for
+    // MIN/MAX the winning dictionary id.
+    const size_t num_groups = group_keys.size();
+    std::vector<ResultTable::Cell> cells;
+    cells.reserve(num_groups * width);
     for (const std::vector<TermId>* group_key : group_keys) {
       const std::vector<RowRef>& members = groups.find(*group_key)->second;
-      std::vector<ResultCell> row;
-      if (!members.empty()) {
-        for (SlotId slot : group_slots) {
-          row.push_back(CellAt(dict, solutions, members.front(), slot));
-        }
-      } else {
-        for (size_t i = 0; i < group_slots.size(); ++i) {
-          row.push_back(ResultCell{{}, false});
-        }
-      }
+      cells.insert(cells.end(), group_key->begin(), group_key->end());
       for (const Aggregate& agg : query.aggregates) {
         if (agg.fn == Aggregate::Fn::kCount && agg.var.empty()) {
-          row.push_back(ResultCell{
-              Term::IntLiteral(static_cast<int64_t>(members.size()))});
+          cells.push_back(table.Own(
+              Term::IntLiteral(static_cast<int64_t>(members.size()))));
           continue;
         }
-        // Collect the argument terms (bound only). DISTINCT dedups on the
-        // dictionary id: interning is injective, so id equality is term
-        // equality.
+        // Collect the argument ids (bound only). DISTINCT dedups on the
+        // id: interning is injective, so id equality is term equality.
         SlotId arg_slot = plan.SlotOf(agg.var);
-        std::vector<Term> values;
+        std::vector<TermId> values;
         std::set<TermId> distinct_seen;
         for (const RowRef member : members) {
           const TermId id = SlotAt(solutions, member, arg_slot);
           if (id == kInvalidTermId) continue;
           if (agg.distinct && !distinct_seen.insert(id).second) continue;
-          values.push_back(dict.term(id));
+          values.push_back(id);
         }
         switch (agg.fn) {
           case Aggregate::Fn::kCount:
-            row.push_back(ResultCell{
-                Term::IntLiteral(static_cast<int64_t>(values.size()))});
+            cells.push_back(table.Own(
+                Term::IntLiteral(static_cast<int64_t>(values.size()))));
             break;
           case Aggregate::Fn::kSum:
           case Aggregate::Fn::kAvg: {
             double sum = 0;
             uint64_t n = 0;
-            for (const Term& t : values) {
-              Result<double> v = t.AsDouble();
+            for (TermId id : values) {
+              Result<double> v = dict.term(id).AsDouble();
               if (v.ok()) {
                 sum += v.ValueOrDie();
                 ++n;
@@ -730,89 +699,91 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
             double result = agg.fn == Aggregate::Fn::kSum
                                 ? sum
                                 : (n ? sum / static_cast<double>(n) : 0.0);
-            row.push_back(ResultCell{Term::DoubleLiteral(result)});
+            cells.push_back(table.Own(Term::DoubleLiteral(result)));
             break;
           }
           case Aggregate::Fn::kMin:
           case Aggregate::Fn::kMax: {
             if (values.empty()) {
-              row.push_back(ResultCell{{}, false});
+              cells.push_back(kInvalidTermId);
               break;
             }
-            const Term* best = &values.front();
-            for (const Term& t : values) {
-              Result<int> c = CompareTerms(t, *best);
+            TermId best = values.front();
+            for (TermId id : values) {
+              Result<int> c = CompareTerms(dict.term(id), dict.term(best));
               if (c.ok() &&
                   ((agg.fn == Aggregate::Fn::kMin && c.ValueOrDie() < 0) ||
                    (agg.fn == Aggregate::Fn::kMax && c.ValueOrDie() > 0))) {
-                best = &t;
+                best = id;
               }
             }
-            row.push_back(ResultCell{*best});
+            cells.push_back(best);
             break;
           }
         }
       }
-      rows.push_back(std::move(row));
     }
 
-    // Solution modifiers on the group table. Its cells are un-interned
-    // Terms and it has one row per group, so ORDER BY compares cells
-    // directly; without ORDER BY the groups keep ascending TermId-key
-    // order. Keys resolve through the output columns (group variables and
-    // aggregate aliases); any other key is ignored, as on the plain path.
-    // DISTINCT has nothing to remove: every row carries its own group key,
-    // and group keys are distinct.
-    std::vector<std::pair<size_t, bool>> sort_keys;  // column, ascending
+    // Solution modifiers on the group table, one row per group. ORDER BY
+    // ranks each key column once: a group-key column holds dictionary ids
+    // and takes the plain path's ranks; an aggregate column's order value
+    // is computed once per row and ranked. Rows then sort on rank tuples;
+    // without ORDER BY the groups keep ascending TermId-key order. Keys
+    // resolve through the output columns (group variables and aggregate
+    // aliases); any other key is ignored, as on the plain path. DISTINCT
+    // has nothing to remove: every row carries its own group key, and
+    // group keys are distinct.
+    std::vector<std::vector<uint32_t>> key_ranks;
     for (const OrderKey& k : query.order_by) {
-      for (size_t c = 0; c < out_columns.size(); ++c) {
-        if (out_columns[c] == k.var) {
-          sort_keys.emplace_back(c, k.ascending);
-          break;
+      const int c = table.ColumnIndex(k.var);
+      if (c < 0) continue;
+      std::vector<uint32_t> ranks(num_groups, 0);
+      if (static_cast<size_t>(c) < group_slots.size()) {
+        std::vector<TermId> ids(num_groups);
+        for (size_t g = 0; g < num_groups; ++g) ids[g] = cells[g * width + c];
+        ranks = OrderRanks(dict, order, ids);
+      } else {
+        std::vector<rdf::OrderValue> values;
+        std::vector<size_t> rows;
+        for (size_t g = 0; g < num_groups; ++g) {
+          const ResultTable::Cell cell = cells[g * width + c];
+          if (cell == kInvalidTermId) continue;
+          const Term& t = table.CellTerm(cell);
+          values.push_back(rdf::OrderValueOf(t, rdf::DecodeTerm(t)));
+          rows.push_back(g);
         }
+        const std::vector<uint32_t> rank_of = RankValues(values);
+        for (size_t i = 0; i < rows.size(); ++i) ranks[rows[i]] = rank_of[i];
       }
+      if (!k.ascending) FlipRanks(&ranks);
+      key_ranks.push_back(std::move(ranks));
     }
-    if (!sort_keys.empty()) {
-      auto order_value = [](const ResultCell& cell) {
-        return OrderValueOf(cell.term, rdf::DecodeTerm(cell.term));
-      };
-      std::stable_sort(
-          rows.begin(), rows.end(),
-          [&](const std::vector<ResultCell>& a,
-              const std::vector<ResultCell>& b) {
-            for (const auto& [c, ascending] : sort_keys) {
-              if (!a[c].bound && !b[c].bound) continue;
-              if (!a[c].bound) return ascending;
-              if (!b[c].bound) return !ascending;
-              const int cv =
-                  CompareCellsForOrder(order_value(a[c]), order_value(b[c]));
-              if (cv != 0) return ascending ? cv < 0 : cv > 0;
-            }
-            return false;
-          });
-    }
-    const auto [begin, end] = SliceBounds(rows.size(), query);
+    const std::vector<uint32_t> perm = SortByRanks(num_groups, key_ranks);
+    const auto [begin, end] = SliceBounds(num_groups, query);
     table.Reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) table.AddRow(std::move(rows[i]));
+    for (size_t i = begin; i < end; ++i) {
+      table.AddRow(std::span<const ResultTable::Cell>(
+          cells.data() + static_cast<size_t>(perm[i]) * width, width));
+    }
     rows_out = table.num_rows();
     return table;
   }
 
   // ---- Plain projection path (late materialization) ----
   // ORDER BY, DISTINCT and OFFSET/LIMIT permute and prune RowRefs over the
-  // batch list; only the rows that survive every modifier materialize
-  // Terms. The row engine materialized the full ResultTable first — same
-  // rows, same order, fewer Term copies.
+  // batch list; only the rows that survive every modifier reach the
+  // table, as one dictionary id per cell — no term is copied here, the
+  // serializer reads each cell's term once.
   std::vector<RowRef> refs = CollectRefs(solutions);
 
   // ORDER BY. Sort keys resolve through the projected columns: an ORDER BY
   // variable that is not projected is silently ignored (longstanding
-  // behavior, preserved). Each key ranks its distinct terms once
-  // (OrderRanks); rows then sort on integer rank tuples. A DESC key flips
-  // its ranks, unbound included, so unbound rows sort first ascending and
-  // last descending. The sort is stable: ties keep solution order.
+  // behavior, preserved). Each key becomes one rank column (OrderRanks);
+  // rows then sort on integer rank tuples. The sort is stable: ties keep
+  // solution order.
   if (!query.order_by.empty()) {
     std::vector<std::vector<uint32_t>> key_ranks;
+    std::vector<TermId> ids(refs.size());
     for (const OrderKey& k : query.order_by) {
       SlotId slot = kNoSlot;
       for (size_t c = 0; c < columns.size(); ++c) {
@@ -822,28 +793,18 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
         }
       }
       if (slot == kNoSlot) continue;  // every row unbound: never decides
-      std::vector<TermId> ids(refs.size());
       for (size_t i = 0; i < refs.size(); ++i) {
         ids[i] = SlotAt(solutions, refs[i], slot);
       }
-      std::vector<uint32_t> ranks = OrderRanks(dict, ids);
-      if (!k.ascending && !ranks.empty()) {
-        const uint32_t top = *std::max_element(ranks.begin(), ranks.end());
-        for (uint32_t& r : ranks) r = top - r;
-      }
+      std::vector<uint32_t> ranks = OrderRanks(dict, order, ids);
+      if (!k.ascending) FlipRanks(&ranks);
       key_ranks.push_back(std::move(ranks));
     }
-    std::vector<uint32_t> perm(refs.size());
-    std::iota(perm.begin(), perm.end(), 0u);
-    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-      for (const std::vector<uint32_t>& ranks : key_ranks) {
-        if (ranks[a] != ranks[b]) return ranks[a] < ranks[b];
-      }
-      return false;
-    });
     std::vector<RowRef> sorted;
     sorted.reserve(refs.size());
-    for (uint32_t i : perm) sorted.push_back(refs[i]);
+    for (uint32_t i : SortByRanks(refs.size(), key_ranks)) {
+      sorted.push_back(refs[i]);
+    }
     refs = std::move(sorted);
   }
 
@@ -870,15 +831,14 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
                 refs.begin() + static_cast<ptrdiff_t>(end));
   }
 
-  ResultTable table(columns);
+  ResultTable table(columns, &dict);
   table.Reserve(refs.size());
+  std::vector<ResultTable::Cell> row(column_slots.size());
   for (const RowRef r : refs) {
-    std::vector<ResultCell> row;
-    row.reserve(columns.size());
-    for (SlotId slot : column_slots) {
-      row.push_back(CellAt(dict, solutions, r, slot));
+    for (size_t c = 0; c < column_slots.size(); ++c) {
+      row[c] = SlotAt(solutions, r, column_slots[c]);
     }
-    table.AddRow(std::move(row));
+    table.AddRow(row);
   }
 
   rows_out = table.num_rows();

@@ -99,7 +99,10 @@ class QueryEngine {
       : QueryEngine(source, Options()) {}
   QueryEngine(const rdf::TripleSource* source, Options options);
 
-  /// Parses and executes a SELECT/ASK query.
+  /// Parses and executes a SELECT/ASK query. The returned table refers to
+  /// the source's dictionary (result_table.h): it is valid while that
+  /// dictionary lives. This holds for every ResultTable-returning method
+  /// below.
   Result<ResultTable> ExecuteString(std::string_view text,
                                     QueryStats* stats = nullptr) const;
 

@@ -42,9 +42,20 @@ class Hasher {
   std::string out_;
 };
 
+/// How a literal constant enters the canonical bytes.
+enum class LiteralKey : uint8_t {
+  /// Decodable literals by decoded value: the fingerprint's grouping.
+  kValue,
+  /// Every literal by its exact spelling: the plan-cache key, because a
+  /// plan embeds each pattern constant as the dictionary id of exactly
+  /// that spelling.
+  kSpelling,
+};
+
 class FingerprintVisitor {
  public:
-  explicit FingerprintVisitor(Hasher* h) : h_(h) {}
+  FingerprintVisitor(Hasher* h, LiteralKey literals)
+      : h_(h), literals_(literals) {}
 
   void VisitQuery(const Query& q) {
     h_->Tag('Q');
@@ -109,10 +120,13 @@ class FingerprintVisitor {
       h_->Str(t.lexical);
       return;
     }
-    // Literal spelling canonicalization: decodable values hash their
-    // decoded form, so `30`, `"30"^^xsd:integer` and `"+30"^^xsd:integer`
-    // agree; everything else hashes lexical + language + datatype.
-    const rdf::DecodedValue dec = rdf::DecodeTerm(t);
+    // Literal spelling canonicalization (kValue only): decodable values
+    // hash their decoded form, so `30`, `"30"^^xsd:integer` and
+    // `"+30"^^xsd:integer` agree; everything else hashes lexical +
+    // language + datatype.
+    const rdf::DecodedValue dec = literals_ == LiteralKey::kValue
+                                      ? rdf::DecodeTerm(t)
+                                      : rdf::DecodedValue{};
     switch (dec.kind) {
       case rdf::DecodedValue::Kind::kNum:
         h_->Tag('n');
@@ -188,6 +202,7 @@ class FingerprintVisitor {
   }
 
   Hasher* h_;
+  LiteralKey literals_;
   std::unordered_map<std::string, uint64_t> var_ids_;
 };
 
@@ -204,12 +219,14 @@ uint64_t Fnv1a64(std::string_view bytes) {
 
 std::string CanonicalQueryKey(const Query& query) {
   Hasher h;
-  FingerprintVisitor(&h).VisitQuery(query);
+  FingerprintVisitor(&h, LiteralKey::kSpelling).VisitQuery(query);
   return h.TakeBytes();
 }
 
 uint64_t QueryFingerprint(const Query& query) {
-  return Fnv1a64(CanonicalQueryKey(query));
+  Hasher h;
+  FingerprintVisitor(&h, LiteralKey::kValue).VisitQuery(query);
+  return Fnv1a64(h.TakeBytes());
 }
 
 }  // namespace lodviz::sparql

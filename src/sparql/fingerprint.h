@@ -24,22 +24,27 @@ namespace lodviz::sparql {
 ///
 /// Structural differences — a different constant, operator, pattern list,
 /// modifier, or query form — change the fingerprint (up to 64-bit hash
-/// collisions, so an exact-match consumer such as the planned plan cache
-/// must still verify on hit). Triple-pattern order is part of the
-/// fingerprint: the planner reorders deterministically from the same
-/// textual order, so the fingerprint keys plans, not solution sets.
+/// collisions). Triple-pattern order is part of the fingerprint. The
+/// fingerprint groups queries for the slow-query journal and profiles; it
+/// does not key plans (see CanonicalQueryKey).
 ///
-/// The hash is a fixed FNV-1a/64 over the serialization: it depends only
-/// on the AST contents, never on pointers, process state, or platform
-/// (doubles hash their IEEE-754 bits).
+/// The hash is a fixed FNV-1a/64 over a canonical serialization: it
+/// depends only on the AST contents, never on pointers, process state, or
+/// platform (doubles hash their IEEE-754 bits).
 [[nodiscard]] uint64_t QueryFingerprint(const Query& query);
 
-/// The canonical byte serialization QueryFingerprint hashes — two queries
-/// share a fingerprint with certainty (not just up to hash collisions) iff
-/// their canonical keys are byte-identical. The serving layer's plan cache
-/// stores this alongside each cached plan and compares it on every
-/// fingerprint hit, so a 64-bit collision degrades to a cache miss instead
-/// of executing the wrong plan.
+/// The canonical byte serialization of a query as a plan sees it — the
+/// serving layer's plan-cache key. It erases what QueryFingerprint erases
+/// except literal spelling: every literal enters by its exact lexical
+/// form, language and datatype. A plan embeds each triple-pattern
+/// constant as the dictionary id of exactly that spelling (`30` and
+/// `"+30"^^xsd:integer` are different terms, matched by different
+/// triples), so two queries may share a plan only if their constants are
+/// spelled alike. Two queries have byte-identical keys iff they are the
+/// same up to whitespace, prefixes and consistent variable renaming. The
+/// plan cache hashes the key with Fnv1a64 and compares the bytes on every
+/// hit, so a 64-bit collision degrades to a cache miss instead of
+/// executing the wrong plan.
 [[nodiscard]] std::string CanonicalQueryKey(const Query& query);
 
 /// The fixed FNV-1a/64 the fingerprint uses; exposed so consumers hashing

@@ -2,9 +2,23 @@
 
 #include <sstream>
 
+#include "common/check.h"
 #include "common/table_printer.h"
+#include "sparql/row_append.h"
 
 namespace lodviz::sparql {
+
+ResultTable::Cell ResultTable::Own(rdf::Term term) {
+  LODVIZ_CHECK(owned_.size() < kOwned) << "result table owns too many terms";
+  owned_.push_back(std::move(term));
+  return kOwned + static_cast<Cell>(owned_.size() - 1);
+}
+
+void ResultTable::AddRow(std::span<const Cell> cells) {
+  CheckRowWidth(cells.size(), columns_.size());
+  cells_.insert(cells_.end(), cells.begin(), cells.end());
+  ++num_rows_;
+}
 
 int ResultTable::ColumnIndex(std::string_view name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
@@ -18,20 +32,18 @@ std::string ResultTable::ToString(size_t max_rows) const {
   for (const std::string& c : columns_) header.push_back("?" + c);
   if (header.empty()) header.push_back("(ask)");
   TablePrinter tp(header);
-  size_t shown = 0;
-  for (const auto& row : rows_) {
-    if (shown++ >= max_rows) break;
+  for (size_t r = 0; r < num_rows_ && r < max_rows; ++r) {
     std::vector<std::string> cells;
-    for (const ResultCell& cell : row) {
-      cells.push_back(cell.bound ? cell.term.ToNTriples() : "—");
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      cells.push_back(bound(r, c) ? term(r, c).ToNTriples() : "—");
     }
     if (cells.empty()) cells.push_back(ask_result ? "true" : "false");
     tp.AddRow(std::move(cells));
   }
   std::ostringstream oss;
   tp.Print(oss);
-  if (rows_.size() > max_rows) {
-    oss << "... (" << rows_.size() - max_rows << " more rows)\n";
+  if (num_rows_ > max_rows) {
+    oss << "... (" << num_rows_ - max_rows << " more rows)\n";
   }
   return oss.str();
 }

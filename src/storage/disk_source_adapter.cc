@@ -17,7 +17,7 @@ obs::Counter& ScanErrors() {
 
 DiskSourceAdapter::DiskSourceAdapter(const DiskTripleStore* store,
                                      const rdf::Dictionary* dict)
-    : store_(store), dict_(dict) {}
+    : store_(store), dict_(dict), order_(*dict) {}
 
 void DiskSourceAdapter::Scan(const rdf::TriplePattern& pattern,
                              const ScanFn& fn) const {

@@ -7,6 +7,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "rdf/dictionary.h"
+#include "rdf/term_order.h"
 #include "rdf/triple_source.h"
 #include "storage/disk_triple_store.h"
 
@@ -32,6 +33,12 @@ namespace lodviz::storage {
 /// planner's repeated probes of the same (s,p)/predicate rows off the
 /// buffer pool; it assumes the store is not mutated while the adapter is
 /// live (rebuild the adapter after loading more data, as before).
+///
+/// The adapter also builds the result order of its dictionary
+/// (rdf::TermOrder) once, at construction, and serves it as term_order():
+/// the disk store is a settled snapshot, so ORDER BY over it reads ranks.
+/// Terms interned into the dictionary afterwards are not covered, and
+/// queries that see them compare terms instead.
 class DiskSourceAdapter : public rdf::TripleSource {
  public:
   DiskSourceAdapter(const DiskTripleStore* store, const rdf::Dictionary* dict);
@@ -53,6 +60,8 @@ class DiskSourceAdapter : public rdf::TripleSource {
 
   const rdf::Dictionary& dict() const override { return *dict_; }
 
+  const rdf::TermOrder* term_order() const override { return &order_; }
+
   [[nodiscard]] uint64_t size() const override { return store_->size(); }
 
   [[nodiscard]] uint64_t PredicateCount(rdf::TermId p) const override;
@@ -68,6 +77,7 @@ class DiskSourceAdapter : public rdf::TripleSource {
 
   const DiskTripleStore* store_;
   const rdf::Dictionary* dict_;
+  const rdf::TermOrder order_;
 
   /// Planner-statistics memoization. Bounded: wiped when it reaches
   /// kStatCacheCap entries (statistics rows are tiny; real workloads probe

@@ -95,7 +95,7 @@ TEST_F(EngineFixture, LoadAndQuery) {
   auto result = engine_.Query(
       "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://lod.example/ontology/age> ?a . }");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->rows()[0][0].term.lexical, "400");
+  EXPECT_EQ(result->term(0, 0).lexical, "400");
 }
 
 TEST_F(EngineFixture, ExplainAnalyzeAndSlowQueryJournal) {

@@ -42,7 +42,7 @@ ex:birdco a ex:Company ; rdfs:label "BirdCo" .
       "FILTER(?v > 50) } ORDER BY ?label");
   ASSERT_TRUE(expensive.ok()) << expensive.status().ToString();
   ASSERT_EQ(expensive->num_rows(), 2u);
-  EXPECT_EQ(expensive->rows()[0][0].term.lexical, "Anvil");
+  EXPECT_EQ(expensive->term(0, 0).lexical, "Anvil");
 
   // CONSTRUCT a derived graph and round-trip it through N-Triples.
   auto derived = engine.QueryGraph(
@@ -178,7 +178,7 @@ TEST(IntegrationTest, ProgressiveMatchesExactAggregate) {
   auto exact = engine.Query(
       "SELECT (AVG(?age) AS ?avg) WHERE { ?s <http://lod.example/ontology/age> ?age . }");
   ASSERT_TRUE(exact.ok());
-  double exact_avg = test::Unwrap(exact->rows()[0][0].term.AsDouble());
+  double exact_avg = test::Unwrap(exact->term(0, 0).AsDouble());
 
   std::vector<double> ages;
   engine.store().Scan(

@@ -11,7 +11,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +30,8 @@
 #include "sparql/engine.h"
 #include "sparql/fingerprint.h"
 #include "sparql/parser.h"
+#include "storage/disk_source_adapter.h"
+#include "storage/disk_triple_store.h"
 #include "test_util.h"
 
 namespace lodviz::serve {
@@ -51,12 +55,15 @@ rdf::TripleStore MakeStore() {
 
 TEST(ServeSerializeTest, JsonBindingsGolden) {
   sparql::ResultTable t({"s", "v"});
-  t.AddRow({{rdf::Term::Iri("http://x/a"), true},
-            {rdf::Term::LangLiteral("Ann \"A\"", "en"), true}});
-  t.AddRow({{rdf::Term::Literal(
-                 "3", "http://www.w3.org/2001/XMLSchema#integer"),
-             true},
-            {rdf::Term(), false}});  // unbound cell must be absent
+  const sparql::ResultTable::Cell row0[] = {
+      t.Own(rdf::Term::Iri("http://x/a")),
+      t.Own(rdf::Term::LangLiteral("Ann \"A\"", "en"))};
+  t.AddRow(row0);
+  const sparql::ResultTable::Cell row1[] = {
+      t.Own(rdf::Term::Literal("3",
+                               "http://www.w3.org/2001/XMLSchema#integer")),
+      rdf::kInvalidTermId};  // unbound cell must be absent
+  t.AddRow(row1);
   const std::string json = ResultTableJson(t, /*is_ask=*/false);
   EXPECT_EQ(json,
             "{\"head\":{\"vars\":[\"s\",\"v\"]},\"results\":{\"bindings\":["
@@ -77,9 +84,12 @@ TEST(ServeSerializeTest, JsonAskGolden) {
 
 TEST(ServeSerializeTest, TsvGolden) {
   sparql::ResultTable t({"s", "v"});
-  t.AddRow({{rdf::Term::Iri("http://x/a"), true},
-            {rdf::Term::Literal("plain"), true}});
-  t.AddRow({{rdf::Term::Blank("b0"), true}, {rdf::Term(), false}});
+  const sparql::ResultTable::Cell row0[] = {
+      t.Own(rdf::Term::Iri("http://x/a")), t.Own(rdf::Term::Literal("plain"))};
+  t.AddRow(row0);
+  const sparql::ResultTable::Cell row1[] = {t.Own(rdf::Term::Blank("b0")),
+                                            rdf::kInvalidTermId};
+  t.AddRow(row1);
   EXPECT_EQ(ResultTableTsv(t, /*is_ask=*/false),
             "?s\t?v\n<http://x/a>\t\"plain\"\n_:b0\t\n");
 }
@@ -242,6 +252,93 @@ TEST(ServeFrontendTest, AdmissionControlShedsWhenSaturated) {
   EXPECT_EQ(shed.value(), before + 1);
 }
 
+/// Served and direct answers to one query, both as JSON bytes; the served
+/// one also says whether its plan came from the cache.
+struct Answers {
+  std::string served;
+  std::string direct;
+  bool plan_cache_hit = false;
+};
+
+Answers ServeAndExecute(Frontend* frontend, const rdf::TripleSource* source,
+                        const std::string& query) {
+  QueryRequest req;
+  req.query = query;
+  QueryResponse resp = frontend->Handle(req);
+  EXPECT_EQ(resp.status, RequestStatus::kOk) << resp.body;
+  const sparql::QueryEngine engine(source);
+  auto direct = engine.ExecuteString(query);
+  EXPECT_TRUE(direct.ok()) << direct.status().ToString();
+  return {resp.body,
+          direct.ok() ? ResultTableJson(direct.ValueOrDie(), false) : "",
+          resp.plan_cache_hit};
+}
+
+/// A plan embeds each pattern constant as the id of its exact spelling, so
+/// a literal spelled differently — even when it has the same value — must
+/// not reuse the plan: the served answer must stay the direct one.
+struct SpellingCase {
+  const char* label;
+  const char* stored;     // the object the store holds, as N-Triples
+  const char* query;      // a query spelling of that same term
+  const char* respelled;  // same value, other term: matches nothing
+};
+
+class ServePlanCacheSpellingTest
+    : public ::testing::TestWithParam<SpellingCase> {};
+
+TEST_P(ServePlanCacheSpellingTest, RespelledLiteralIsServedAsDirect) {
+  const SpellingCase& c = GetParam();
+  rdf::TripleStore store;
+  LODVIZ_CHECK_OK(rdf::LoadNTriplesString(
+                      std::string("<http://x/a> <http://x/v> ") + c.stored +
+                          " .\n",
+                      &store)
+                      .status());
+  Frontend frontend(&store, FrontendOptions());
+  const std::string stored_q =
+      std::string("SELECT ?s WHERE { ?s <http://x/v> ") + c.query + " }";
+  const std::string respelled_q =
+      std::string("SELECT ?s WHERE { ?s <http://x/v> ") + c.respelled + " }";
+
+  const Answers first = ServeAndExecute(&frontend, &store, stored_q);
+  EXPECT_EQ(first.served, first.direct);
+  EXPECT_NE(first.served.find("http://x/a"), std::string::npos);
+
+  const Answers second = ServeAndExecute(&frontend, &store, respelled_q);
+  EXPECT_EQ(second.served, second.direct) << c.respelled;
+  EXPECT_FALSE(second.plan_cache_hit);
+  EXPECT_EQ(second.direct.find("http://x/a"), std::string::npos);
+
+  // Each spelling now hits its own plan and still answers as direct.
+  const Answers again = ServeAndExecute(&frontend, &store, respelled_q);
+  EXPECT_TRUE(again.plan_cache_hit);
+  EXPECT_EQ(again.served, again.direct);
+  const Answers first_again = ServeAndExecute(&frontend, &store, stored_q);
+  EXPECT_TRUE(first_again.plan_cache_hit);
+  EXPECT_EQ(first_again.served, first_again.direct);
+}
+
+void PrintTo(const SpellingCase& c, std::ostream* os) { *os << c.label; }
+
+INSTANTIATE_TEST_SUITE_P(
+    Literals, ServePlanCacheSpellingTest,
+    ::testing::Values(
+        SpellingCase{"integer",
+                     "\"30\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+                     "30",
+                     "\"+30\"^^<http://www.w3.org/2001/XMLSchema#integer>"},
+        SpellingCase{"dateTime",
+                     "\"2020-01-01T00:00:00\"^^"
+                     "<http://www.w3.org/2001/XMLSchema#dateTime>",
+                     "\"2020-01-01T00:00:00\"^^"
+                     "<http://www.w3.org/2001/XMLSchema#dateTime>",
+                     "\"2020-01-01T00:00:00Z\"^^"
+                     "<http://www.w3.org/2001/XMLSchema#dateTime>"}),
+    [](const ::testing::TestParamInfo<SpellingCase>& info) {
+      return std::string(info.param.label);
+    });
+
 // ---------------------------------------------------------------------------
 // HTTP parsing (network-facing: hostile bytes must be clean errors)
 // ---------------------------------------------------------------------------
@@ -372,6 +469,78 @@ TEST(ServeConcurrencyTest, ParallelClientsGetConsistentAnswers) {
 
   server.Stop();
   pool.Shutdown();
+}
+
+TEST(ServeConcurrencyTest, RankedDiskOrderByFromFourThreads) {
+  // ORDER BY over a disk adapter reads the rdf::TermOrder it built at
+  // construction; four threads share that order, the dictionary, the
+  // pool and the plan cache through one Frontend, and every answer must
+  // equal the serial one.
+  rdf::TripleStore store;
+  std::string doc;
+  for (int i = 0; i < 300; ++i) {
+    const std::string s = "<http://x/e" + std::to_string(i * 7 % 300) + ">";
+    doc += s + " <http://x/cat> <http://x/c" + std::to_string(i % 3) + "> .\n";
+    doc += s + " <http://x/age> \"" + std::to_string(i % 40) +
+           "\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n";
+    doc += s + " <http://x/name> \"n" + std::to_string(i % 17) + "\" .\n";
+  }
+  LODVIZ_CHECK_OK(rdf::LoadNTriplesString(doc, &store).status());
+  store.Compact();
+  std::vector<rdf::Triple> triples;
+  store.Scan({}, [&](const rdf::Triple& t) {
+    triples.push_back(t);
+    return true;
+  });
+  const std::string path =
+      "/tmp/lodviz_serve_ranked_" + std::to_string(::getpid()) + ".db";
+  auto disk = storage::DiskTripleStore::Create(path, 8);
+  LODVIZ_CHECK_OK(disk.status());
+  LODVIZ_CHECK_OK(disk.ValueOrDie()->BulkLoad(std::move(triples)));
+  const storage::DiskSourceAdapter source(disk.ValueOrDie().get(),
+                                          &store.dict());
+  ASSERT_NE(source.term_order(), nullptr);
+  Frontend frontend(&source, FrontendOptions());
+
+  const std::vector<std::string> queries = {
+      "SELECT ?s WHERE { ?s <http://x/cat> <http://x/c1> } ORDER BY ?s",
+      "SELECT ?s ?a WHERE { ?s <http://x/age> ?a } ORDER BY DESC(?a) ?s",
+      "SELECT ?s ?n ?a WHERE { ?s <http://x/name> ?n . ?s <http://x/age> ?a }"
+      " ORDER BY ?n DESC(?a) ?s LIMIT 50 OFFSET 5",
+      "SELECT ?n (COUNT(*) AS ?k) WHERE { ?s <http://x/name> ?n } "
+      "GROUP BY ?n ORDER BY DESC(?k) ?n",
+  };
+  std::vector<std::string> serial;
+  for (const std::string& q : queries) {
+    QueryRequest req;
+    req.query = q;
+    QueryResponse resp = frontend.Handle(req);
+    ASSERT_EQ(resp.status, RequestStatus::kOk) << resp.body;
+    serial.push_back(resp.body);
+  }
+
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < 25; ++r) {
+        const size_t q = static_cast<size_t>(t + r) % queries.size();
+        QueryRequest req;
+        req.query = queries[q];
+        req.format = r % 5 == 0 ? ResultFormat::kTsv : ResultFormat::kJson;
+        const QueryResponse resp = frontend.Handle(req);
+        if (resp.status != RequestStatus::kOk) {
+          ++mismatches[t];
+        } else if (req.format == ResultFormat::kJson &&
+                   resp.body != serial[q]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  std::remove(path.c_str());
 }
 
 TEST(ServeConcurrencyTest, StopWhileClientsInFlight) {

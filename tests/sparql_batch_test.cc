@@ -277,10 +277,10 @@ TEST(GroupByDeterminismTest, OutputOrderIsAscendingGroupKeyIds) {
       ASSERT_TRUE(got.ok());
       const ResultTable& t = got.ValueOrDie();
       ASSERT_EQ(t.num_rows(), 2u);
-      EXPECT_EQ(t.rows()[0][0].term.lexical, "http://g/B");
-      EXPECT_EQ(t.rows()[0][1].term.lexical, "1");
-      EXPECT_EQ(t.rows()[1][0].term.lexical, "http://g/A");
-      EXPECT_EQ(t.rows()[1][1].term.lexical, "3");
+      EXPECT_EQ(t.term(0, 0).lexical, "http://g/B");
+      EXPECT_EQ(t.term(0, 1).lexical, "1");
+      EXPECT_EQ(t.term(1, 0).lexical, "http://g/A");
+      EXPECT_EQ(t.term(1, 1).lexical, "3");
       // And the whole rendering is identical run to run (hash-map
       // iteration order must never leak into the output).
       if (repeat == 0) {

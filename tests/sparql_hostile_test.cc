@@ -159,11 +159,11 @@ TEST_F(OrderBySwoTest, MixedTypesSortWithoutCrashing) {
   // decodable classes.
   const int v = result->ColumnIndex("v");
   ASSERT_GE(v, 0);
-  EXPECT_EQ(result->rows()[0][v].term.lexical, "-7");
-  EXPECT_EQ(result->rows()[1][v].term.lexical, "1.5");
-  EXPECT_EQ(result->rows()[2][v].term.lexical, "3.5");
-  EXPECT_EQ(result->rows()[3][v].term.lexical, "2016-01-01T00:00:00");
-  EXPECT_EQ(result->rows()[4][v].term.lexical, "true");
+  EXPECT_EQ(result->term(0, v).lexical, "-7");
+  EXPECT_EQ(result->term(1, v).lexical, "1.5");
+  EXPECT_EQ(result->term(2, v).lexical, "3.5");
+  EXPECT_EQ(result->term(3, v).lexical, "2016-01-01T00:00:00");
+  EXPECT_EQ(result->term(4, v).lexical, "true");
 }
 
 TEST_F(OrderBySwoTest, SortIsDeterministicAcrossRuns) {
@@ -179,8 +179,8 @@ TEST_F(OrderBySwoTest, SortIsDeterministicAcrossRuns) {
     const int s = again->ColumnIndex("s");
     ASSERT_GE(s, 0);
     for (size_t r = 0; r < first->num_rows(); ++r) {
-      EXPECT_EQ(again->rows()[r][s].term.lexical,
-                first->rows()[r][s].term.lexical)
+      EXPECT_EQ(again->term(r, s).lexical,
+                first->term(r, s).lexical)
           << "row " << r << " changed between runs";
     }
   }
@@ -203,8 +203,8 @@ TEST_F(OrderBySwoTest, SecondaryKeyBreaksValueTies) {
   ASSERT_EQ(result->num_rows(), 2u);
   const int s = result->ColumnIndex("s");
   ASSERT_GE(s, 0);
-  EXPECT_EQ(result->rows()[0][s].term.lexical, "http://x/a");
-  EXPECT_EQ(result->rows()[1][s].term.lexical, "http://x/b");
+  EXPECT_EQ(result->term(0, s).lexical, "http://x/a");
+  EXPECT_EQ(result->term(1, s).lexical, "http://x/b");
 }
 
 // ---------------------------------------------------------------------------

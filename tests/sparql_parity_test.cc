@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -27,6 +29,7 @@
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "rdf/ntriples.h"
+#include "rdf/term_order.h"
 #include "rdf/triple_store.h"
 #include "sparql/engine.h"
 #include "storage/buffer_pool.h"
@@ -750,19 +753,33 @@ int OracleCompareTerms(const rdf::Term& a, const rdf::Term& b) {
   }
 }
 
+/// One result row as the oracle sorts it: each cell a term, or nullopt
+/// when unbound.
+using OracleRow = std::vector<std::optional<rdf::Term>>;
+
+std::vector<OracleRow> OracleRows(const ResultTable& t) {
+  std::vector<OracleRow> rows(t.num_rows());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.columns().size(); ++c) {
+      rows[r].push_back(t.bound(r, c) ? std::optional<rdf::Term>(t.term(r, c))
+                                      : std::nullopt);
+    }
+  }
+  return rows;
+}
+
 /// The reference ORDER BY: std::stable_sort with the per-comparison
 /// comparator; unbound sorts first ascending and last descending.
-std::vector<std::vector<ResultCell>> OracleOrderBy(
-    std::vector<std::vector<ResultCell>> rows,
+std::vector<OracleRow> OracleOrderBy(
+    std::vector<OracleRow> rows,
     const std::vector<std::pair<size_t, bool>>& keys) {
   std::stable_sort(rows.begin(), rows.end(),
-                   [&](const std::vector<ResultCell>& a,
-                       const std::vector<ResultCell>& b) {
+                   [&](const OracleRow& a, const OracleRow& b) {
                      for (const auto& [c, ascending] : keys) {
-                       if (!a[c].bound && !b[c].bound) continue;
-                       if (!a[c].bound) return ascending;
-                       if (!b[c].bound) return !ascending;
-                       const int cv = OracleCompareTerms(a[c].term, b[c].term);
+                       if (!a[c] && !b[c]) continue;
+                       if (!a[c]) return ascending;
+                       if (!b[c]) return !ascending;
+                       const int cv = OracleCompareTerms(*a[c], *b[c]);
                        if (cv != 0) return ascending ? cv < 0 : cv > 0;
                      }
                      return false;
@@ -770,11 +787,11 @@ std::vector<std::vector<ResultCell>> OracleOrderBy(
   return rows;
 }
 
-std::string RowsKey(const std::vector<std::vector<ResultCell>>& rows) {
+std::string RowsKey(const std::vector<OracleRow>& rows) {
   std::string key;
-  for (const auto& row : rows) {
-    for (const ResultCell& cell : row) {
-      key += cell.bound ? cell.term.ToNTriples() : "UNBOUND";
+  for (const OracleRow& row : rows) {
+    for (const std::optional<rdf::Term>& cell : row) {
+      key += cell ? cell->ToNTriples() : "UNBOUND";
       key += '\t';
     }
     key += '\n';
@@ -782,13 +799,14 @@ std::string RowsKey(const std::vector<std::vector<ResultCell>>& rows) {
   return key;
 }
 
-TEST(SparqlParityOrderBy, RankSortMatchesComparatorOracle) {
-  // Values that stress every branch of the order: numerics equal in value
-  // but spelled differently (so a later key must decide), NaN, dates that
-  // share an instant, booleans, IRIs, blanks, plain, language-tagged and
-  // typed literals, and a malformed number (class 3 by spelling).
+/// The value list of the ORDER BY oracle test: every branch of the order
+/// — numerics equal in value but spelled differently (so a later key must
+/// decide), NaN, dates that share an instant, booleans, IRIs, blanks,
+/// plain, language-tagged and typed literals, and a malformed number
+/// (class 3 by spelling).
+std::vector<std::string> OrderStressValues() {
   const char* kXsd = "http://www.w3.org/2001/XMLSchema#";
-  const std::vector<std::string> values = {
+  return {
       std::string("\"30\"^^<") + kXsd + "integer>",
       std::string("\"+30\"^^<") + kXsd + "integer>",
       std::string("\"030\"^^<") + kXsd + "integer>",
@@ -807,6 +825,154 @@ TEST(SparqlParityOrderBy, RankSortMatchesComparatorOracle) {
       "\"abc\"", "\"Abc\"", "\"\"", "\"abc\"@en", "\"abc\"@fr",
       "\"x\"^^<http://x/dt>",
   };
+}
+
+/// Ranks of a TermOrder against the comparator oracle over every pair of
+/// ids: rank order is comparator order, and equal ranks are exactly the
+/// comparator's equivalences.
+void ExpectOrderMatchesOracle(const rdf::Dictionary& dict,
+                              const rdf::TermOrder& order) {
+  for (rdf::TermId a = 1; a <= dict.size(); ++a) {
+    ASSERT_TRUE(order.Covers(a));
+    ASSERT_GE(order.rank(a), 1u);
+    for (rdf::TermId b = 1; b <= dict.size(); ++b) {
+      const int want = OracleCompareTerms(dict.term(a), dict.term(b));
+      const int got = order.rank(a) < order.rank(b)
+                          ? -1
+                          : (order.rank(a) > order.rank(b) ? 1 : 0);
+      ASSERT_EQ(got, want) << dict.term(a).ToNTriples() << " vs "
+                           << dict.term(b).ToNTriples();
+    }
+  }
+}
+
+TEST(SparqlParityOrderBy, TermOrderMatchesComparatorOnStressValues) {
+  rdf::TripleStore store;
+  std::string doc;
+  for (const std::string& v : OrderStressValues()) {
+    doc += "<http://x/e> <http://x/v> " + v + " .\n";
+  }
+  ASSERT_TRUE(rdf::LoadNTriplesString(doc, &store).ok());
+  ExpectOrderMatchesOracle(store.dict(), rdf::TermOrder(store.dict()));
+}
+
+TEST(SparqlParityOrderBy, TermOrderMatchesComparatorOnRandomDictionaries) {
+  // Spellings built from a small alphabet so terms share long prefixes,
+  // end where others go on, and carry the bytes N-Triples escapes — the
+  // cases a spelling comparison without spelling can get wrong.
+  const char kAlphabet[] = {'a', 'b', '/', '>', '"', '\\', '\n', '\t',
+                            ' ', '0', '9', '\x7f', '\xc3', '\xa9'};
+  const char* kXsd = "http://www.w3.org/2001/XMLSchema#";
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    rdf::Dictionary dict;
+    auto text = [&](std::string s, size_t max_len) {
+      const size_t n = rng.Uniform(max_len + 1);
+      for (size_t i = 0; i < n; ++i) {
+        s.push_back(kAlphabet[rng.Uniform(sizeof(kAlphabet))]);
+      }
+      return s;
+    };
+    for (int i = 0; i < 150; ++i) {
+      switch (rng.Uniform(7)) {
+        case 0:
+          dict.Intern(rdf::Term::Iri(text("http://x/", 6)));
+          break;
+        case 1:
+          dict.Intern(rdf::Term::Blank(text("b", 4)));
+          break;
+        case 2:
+          dict.Intern(rdf::Term::Literal(text("", 6)));
+          break;
+        case 3:
+          dict.Intern(rdf::Term::LangLiteral(text("", 3), rng.Uniform(2) ? "en"
+                                                                      : "e"));
+          break;
+        case 4:
+          dict.Intern(rdf::Term::Literal(text("", 3), text("http://x/", 3)));
+          break;
+        case 5: {
+          // Small numbers, signed zero included, in several spellings.
+          std::string n = std::to_string(rng.Uniform(4));
+          if (rng.Uniform(2)) n.insert(0, 1, '-');
+          if (rng.Uniform(2)) n += ".0";
+          dict.Intern(rdf::Term::Literal(
+              n, std::string(kXsd) + (rng.Uniform(2) ? "integer" : "double")));
+          break;
+        }
+        default:
+          dict.Intern(rdf::Term::Literal(
+              "20" + std::to_string(10 + rng.Uniform(5)) + "-01-01",
+              std::string(kXsd) + "date"));
+          break;
+      }
+    }
+    ExpectOrderMatchesOracle(dict, rdf::TermOrder(dict));
+    // The order spells nothing, so check the spelling comparison it
+    // rests on directly as well.
+    for (rdf::TermId a = 1; a <= dict.size(); ++a) {
+      for (rdf::TermId b = 1; b <= dict.size(); ++b) {
+        const int want = dict.term(a).ToNTriples().compare(
+            dict.term(b).ToNTriples());
+        ASSERT_EQ(rdf::CompareNTriples(dict.term(a), dict.term(b)),
+                  want < 0 ? -1 : (want > 0 ? 1 : 0))
+            << "seed " << seed << ": " << dict.term(a).ToNTriples() << " vs "
+            << dict.term(b).ToNTriples();
+      }
+    }
+  }
+}
+
+TEST(SparqlParityOrderBy, TermOrderParallelBuildMatchesComparator) {
+  // Above exec::ParallelSort's serial cutoff, so the build sorts chunks
+  // on pool threads and merges them. Walking the ids in rank order, each
+  // neighbouring pair must compare as their ranks do; with a strict weak
+  // order that pins the whole ranking.
+  exec::SetThreads(4);
+  rdf::Dictionary dict;
+  Rng rng(77);
+  const char* kXsd = "http://www.w3.org/2001/XMLSchema#";
+  for (int i = 0; i < 40000; ++i) {
+    const uint64_t k = rng.Uniform(100000);
+    switch (i % 4) {
+      case 0:
+        dict.InternIri("http://x/r" + std::to_string(k));
+        break;
+      case 1:
+        dict.InternLiteral("label " + std::to_string(k));
+        break;
+      case 2:
+        dict.InternLiteral(std::to_string(k % 500), std::string(kXsd) + "integer");
+        break;
+      default:
+        dict.InternLiteral(std::to_string(k % 500).insert(0, 1, '+'),
+                           std::string(kXsd) + "integer");
+        break;
+    }
+  }
+  const rdf::TermOrder order(dict);
+  exec::SetThreads(0);
+  std::vector<rdf::TermId> by_rank(dict.size());
+  std::iota(by_rank.begin(), by_rank.end(), rdf::TermId{1});
+  std::stable_sort(by_rank.begin(), by_rank.end(),
+                   [&](rdf::TermId a, rdf::TermId b) {
+                     return order.rank(a) < order.rank(b);
+                   });
+  ASSERT_EQ(order.rank(by_rank.front()), 1u);
+  for (size_t i = 1; i < by_rank.size(); ++i) {
+    const rdf::TermId a = by_rank[i - 1];
+    const rdf::TermId b = by_rank[i];
+    const int want = OracleCompareTerms(dict.term(a), dict.term(b));
+    ASSERT_LE(want, 0) << dict.term(a).ToNTriples() << " vs "
+                       << dict.term(b).ToNTriples();
+    // Ranks are dense: equivalent neighbours share one, others step by 1.
+    ASSERT_EQ(order.rank(b) - order.rank(a), want == 0 ? 0u : 1u)
+        << dict.term(a).ToNTriples() << " vs " << dict.term(b).ToNTriples();
+  }
+}
+
+TEST(SparqlParityOrderBy, RankSortMatchesComparatorOracle) {
+  const std::vector<std::string> values = OrderStressValues();
   Rng rng(2024);
   std::string doc;
   for (int e = 0; e < 120; ++e) {
@@ -819,36 +985,61 @@ TEST(SparqlParityOrderBy, RankSortMatchesComparatorOracle) {
       doc += s + " <http://x/w> " + values[rng.Uniform(values.size())] + " .\n";
     }
   }
+  // The "stale" disk leg's adapter, and with it its term order, is built
+  // when only the first part of the document is interned: answers that
+  // reach terms interned later rank them per query instead.
+  const size_t split = doc.find("<http://x/e60>");
+  ASSERT_NE(split, std::string::npos);
   rdf::TripleStore store;
-  ASSERT_TRUE(rdf::LoadNTriplesString(doc, &store).ok());
+  ASSERT_TRUE(rdf::LoadNTriplesString(doc.substr(0, split), &store).ok());
+  const std::string path =
+      "/tmp/lodviz_parity_order_" + std::to_string(::getpid()) + ".db";
+  const std::string stale_path = path + ".stale";
+  auto stale_r = storage::DiskTripleStore::Create(stale_path, 8);
+  ASSERT_TRUE(stale_r.ok()) << stale_r.status().ToString();
+  std::unique_ptr<storage::DiskTripleStore> stale_disk =
+      std::move(stale_r).ValueOrDie();
+  storage::DiskSourceAdapter stale_adapter(stale_disk.get(), &store.dict());
+  ASSERT_TRUE(rdf::LoadNTriplesString(doc.substr(split), &store).ok());
+
   store.Compact();
   std::vector<rdf::Triple> triples;
   store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     triples.push_back(t);
     return true;
   });
-  const std::string path =
-      "/tmp/lodviz_parity_order_" + std::to_string(::getpid()) + ".db";
   auto disk_r = storage::DiskTripleStore::Create(path, 8);
   ASSERT_TRUE(disk_r.ok()) << disk_r.status().ToString();
   std::unique_ptr<storage::DiskTripleStore> disk =
       std::move(disk_r).ValueOrDie();
   ASSERT_TRUE(disk->BulkLoad(triples).ok());
+  ASSERT_TRUE(stale_disk->BulkLoad(triples).ok());
   storage::DiskSourceAdapter adapter(disk.get(), &store.dict());
+
+  // The memory store keeps no order; the disk adapter's covers every id,
+  // the stale one's only the ids interned before it was built.
+  EXPECT_EQ(store.term_order(), nullptr);
+  ASSERT_NE(adapter.term_order(), nullptr);
+  EXPECT_TRUE(adapter.term_order()->Covers(
+      static_cast<rdf::TermId>(store.dict().size())));
+  ASSERT_NE(stale_adapter.term_order(), nullptr);
+  EXPECT_FALSE(stale_adapter.term_order()->Covers(
+      static_cast<rdf::TermId>(store.dict().size())));
 
   struct Leg {
     std::string label;
     std::unique_ptr<QueryEngine> engine;
   };
   std::vector<Leg> legs;
-  const rdf::TripleSource* sources[] = {&store, &adapter};
-  for (int src = 0; src < 2; ++src) {
+  const std::pair<const char*, const rdf::TripleSource*> sources[] = {
+      {"mem", &store}, {"disk", &adapter}, {"disk-stale-order", &stale_adapter}};
+  for (const auto& [name, source] : sources) {
     for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
       QueryEngine::Options opts;
       opts.exec_mode = mode;
-      legs.push_back(Leg{std::string(src == 0 ? "mem" : "disk") +
+      legs.push_back(Leg{std::string(name) +
                              (mode == ExecMode::kRow ? "/row" : "/batch"),
-                         std::make_unique<QueryEngine>(sources[src], opts)});
+                         std::make_unique<QueryEngine>(source, opts)});
     }
   }
 
@@ -873,20 +1064,21 @@ TEST(SparqlParityOrderBy, RankSortMatchesComparatorOracle) {
     for (const Leg& leg : legs) {
       auto unordered = leg.engine->ExecuteString(base);
       ASSERT_TRUE(unordered.ok()) << unordered.status().ToString();
-      std::vector<std::vector<ResultCell>> want =
-          OracleOrderBy(unordered->rows(), keys);
+      std::vector<OracleRow> want = OracleOrderBy(OracleRows(*unordered), keys);
       if (sliced) {
         want.erase(want.begin(), want.begin() + std::min<size_t>(7, want.size()));
         if (want.size() > 25) want.resize(25);
       }
       auto got = leg.engine->ExecuteString(base + order + slice);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(RowsKey(want), RowsKey(got->rows()))
+      EXPECT_EQ(RowsKey(want), RowsKey(OracleRows(*got)))
           << leg.label << ": " << order << slice;
     }
   }
   disk.reset();
+  stale_disk.reset();
   std::remove(path.c_str());
+  std::remove(stale_path.c_str());
 }
 
 // --- Striped BufferPool TSan regressions -------------------------------

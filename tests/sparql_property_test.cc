@@ -130,11 +130,11 @@ TEST_P(BgpAgreement, EngineMatchesBruteForce) {
     ASSERT_TRUE(engine_result.ok()) << engine_result.status().ToString();
 
     std::set<std::string> engine_rows;
-    for (const auto& row : engine_result->rows()) {
+    for (size_t r = 0; r < engine_result->num_rows(); ++r) {
       std::string key;
-      for (size_t c = 0; c < row.size(); ++c) {
-        key += row[c].bound
-                   ? std::to_string(dict.Lookup(row[c].term))
+      for (size_t c = 0; c < engine_result->columns().size(); ++c) {
+        key += engine_result->bound(r, c)
+                   ? std::to_string(dict.Lookup(engine_result->term(r, c)))
                    : "~";
         key += "|";
       }

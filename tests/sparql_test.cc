@@ -184,37 +184,37 @@ class EngineFixture : public ::testing::Test {
 TEST_F(EngineFixture, SingleStatement) {
   ResultTable t = Run("SELECT ?s WHERE { ?s <http://x/knows> <http://x/bob> . }");
   ASSERT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.rows()[0][0].term.lexical, "http://x/alice");
+  EXPECT_EQ(t.term(0, 0).lexical, "http://x/alice");
 }
 
 TEST_F(EngineFixture, TwoHopJoin) {
   ResultTable t = Run(
       "SELECT ?a ?c WHERE { ?a <http://x/knows> ?b . ?b <http://x/knows> ?c . }");
   ASSERT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.rows()[0][0].term.lexical, "http://x/alice");
-  EXPECT_EQ(t.rows()[0][1].term.lexical, "http://x/carol");
+  EXPECT_EQ(t.term(0, 0).lexical, "http://x/alice");
+  EXPECT_EQ(t.term(0, 1).lexical, "http://x/carol");
 }
 
 TEST_F(EngineFixture, NumericFilter) {
   ResultTable t = Run(
       "SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER(?a > 32 && ?a <= 40) } ORDER BY ?s");
   ASSERT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.rows()[0][0].term.lexical, "http://x/bob");
-  EXPECT_EQ(t.rows()[1][0].term.lexical, "http://x/carol");
+  EXPECT_EQ(t.term(0, 0).lexical, "http://x/bob");
+  EXPECT_EQ(t.term(1, 0).lexical, "http://x/carol");
 }
 
 TEST_F(EngineFixture, ArithmeticInFilter) {
   ResultTable t = Run(
       "SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER(?a * 2 = 60) }");
   ASSERT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.rows()[0][0].term.lexical, "http://x/alice");
+  EXPECT_EQ(t.term(0, 0).lexical, "http://x/alice");
 }
 
 TEST_F(EngineFixture, StringFunctions) {
   ResultTable t = Run(
       "SELECT ?s WHERE { ?s <http://x/name> ?n . FILTER(CONTAINS(?n, \"aro\")) }");
   ASSERT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.rows()[0][0].term.lexical, "http://x/carol");
+  EXPECT_EQ(t.term(0, 0).lexical, "http://x/carol");
 
   ResultTable t2 = Run(
       "SELECT ?s WHERE { ?s <http://x/name> ?n . FILTER(STRSTARTS(?n, \"A\")) }");
@@ -226,9 +226,9 @@ TEST_F(EngineFixture, OptionalLeavesUnbound) {
       "SELECT ?s ?w WHERE { ?s a <http://x/Person> . "
       "OPTIONAL { ?s <http://x/worksAt> ?w . } } ORDER BY ?s");
   ASSERT_EQ(t.num_rows(), 3u);
-  EXPECT_TRUE(t.rows()[0][1].bound);   // alice works
-  EXPECT_FALSE(t.rows()[1][1].bound);  // bob doesn't
-  EXPECT_FALSE(t.rows()[2][1].bound);  // carol doesn't
+  EXPECT_TRUE(t.bound(0, 1));   // alice works
+  EXPECT_FALSE(t.bound(1, 1));  // bob doesn't
+  EXPECT_FALSE(t.bound(2, 1));  // carol doesn't
 }
 
 TEST_F(EngineFixture, BoundFilterOnOptional) {
@@ -236,7 +236,7 @@ TEST_F(EngineFixture, BoundFilterOnOptional) {
       "SELECT ?s WHERE { ?s a <http://x/Person> . "
       "OPTIONAL { ?s <http://x/worksAt> ?w . } FILTER(!BOUND(?w)) } ORDER BY ?s");
   ASSERT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.rows()[0][0].term.lexical, "http://x/bob");
+  EXPECT_EQ(t.term(0, 0).lexical, "http://x/bob");
 }
 
 TEST_F(EngineFixture, UnionCombines) {
@@ -268,9 +268,9 @@ TEST_F(EngineFixture, AggregatesWithGroupBy) {
       "SELECT ?t (COUNT(*) AS ?n) WHERE { ?s a ?t . } GROUP BY ?t ORDER BY ?t");
   ASSERT_EQ(t.num_rows(), 2u);
   // Company: 1, Person: 3 (map ordering by group key string).
-  int company = t.rows()[0][0].term.lexical == "http://x/Company" ? 0 : 1;
-  EXPECT_EQ(t.rows()[company][1].term.lexical, "1");
-  EXPECT_EQ(t.rows()[1 - company][1].term.lexical, "3");
+  int company = t.term(0, 0).lexical == "http://x/Company" ? 0 : 1;
+  EXPECT_EQ(t.term(company, 1).lexical, "1");
+  EXPECT_EQ(t.term(1 - company, 1).lexical, "3");
 }
 
 // Solution modifiers apply to the group table. Predicate counts in the
@@ -280,9 +280,9 @@ TEST_F(EngineFixture, AggregateOrderByDescAndLimit) {
       "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p "
       "ORDER BY DESC(?n) LIMIT 1");
   ASSERT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.rows()[0][0].term.lexical,
+  EXPECT_EQ(t.term(0, 0).lexical,
             "http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
-  EXPECT_EQ(t.rows()[0][1].term.lexical, "4");
+  EXPECT_EQ(t.term(0, 1).lexical, "4");
 }
 
 TEST_F(EngineFixture, AggregateOrderByTieBreakAndOffset) {
@@ -291,8 +291,8 @@ TEST_F(EngineFixture, AggregateOrderByTieBreakAndOffset) {
       "ORDER BY DESC(?n) ?p";
   ResultTable t = Run(q);
   std::vector<std::string> got;
-  for (const auto& row : t.rows()) {
-    got.push_back(row[0].term.lexical + "=" + row[1].term.lexical);
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    got.push_back(t.term(r, 0).lexical + "=" + t.term(r, 1).lexical);
   }
   EXPECT_EQ(got, (std::vector<std::string>{
                      "http://www.w3.org/1999/02/22-rdf-syntax-ns#type=4",
@@ -301,8 +301,8 @@ TEST_F(EngineFixture, AggregateOrderByTieBreakAndOffset) {
 
   ResultTable page = Run(q + " LIMIT 2 OFFSET 1");
   ASSERT_EQ(page.num_rows(), 2u);
-  EXPECT_EQ(page.rows()[0][0].term.lexical, "http://x/age");
-  EXPECT_EQ(page.rows()[1][0].term.lexical, "http://x/name");
+  EXPECT_EQ(page.term(0, 0).lexical, "http://x/age");
+  EXPECT_EQ(page.term(1, 0).lexical, "http://x/name");
   EXPECT_EQ(Run(q + " OFFSET 10").num_rows(), 0u);
 
   // Ascending on the count, then the key: ties resolve the same way.
@@ -310,9 +310,9 @@ TEST_F(EngineFixture, AggregateOrderByTieBreakAndOffset) {
       "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p "
       "ORDER BY ?n ?p LIMIT 3");
   ASSERT_EQ(asc.num_rows(), 3u);
-  EXPECT_EQ(asc.rows()[0][0].term.lexical, "http://x/worksAt");
-  EXPECT_EQ(asc.rows()[1][0].term.lexical, "http://x/city");
-  EXPECT_EQ(asc.rows()[2][0].term.lexical, "http://x/knows");
+  EXPECT_EQ(asc.term(0, 0).lexical, "http://x/worksAt");
+  EXPECT_EQ(asc.term(1, 0).lexical, "http://x/city");
+  EXPECT_EQ(asc.term(2, 0).lexical, "http://x/knows");
 }
 
 TEST_F(EngineFixture, AggregateWithoutOrderByKeepsGroupKeyOrder) {
@@ -321,7 +321,7 @@ TEST_F(EngineFixture, AggregateWithoutOrderByKeepsGroupKeyOrder) {
   ResultTable t = Run(
       "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p");
   std::vector<std::string> got;
-  for (const auto& row : t.rows()) got.push_back(row[0].term.lexical);
+  for (size_t r = 0; r < t.num_rows(); ++r) got.push_back(t.term(r, 0).lexical);
   EXPECT_EQ(got, (std::vector<std::string>{
                      "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
                      "http://x/name", "http://x/age", "http://x/knows",
@@ -335,7 +335,7 @@ TEST_F(EngineFixture, AggregateWithoutOrderByKeepsGroupKeyOrder) {
   ResultTable first = Run(
       "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p LIMIT 2");
   ASSERT_EQ(first.num_rows(), 2u);
-  EXPECT_EQ(first.rows()[1][0].term.lexical, "http://x/name");
+  EXPECT_EQ(first.term(1, 0).lexical, "http://x/name");
 }
 
 TEST_F(EngineFixture, NumericAggregates) {
@@ -343,17 +343,17 @@ TEST_F(EngineFixture, NumericAggregates) {
       "SELECT (SUM(?a) AS ?sum) (AVG(?a) AS ?avg) (MIN(?a) AS ?lo) (MAX(?a) AS ?hi) "
       "WHERE { ?s <http://x/age> ?a . }");
   ASSERT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(test::Unwrap(t.rows()[0][0].term.AsDouble()), 105.0);
-  EXPECT_EQ(test::Unwrap(t.rows()[0][1].term.AsDouble()), 35.0);
-  EXPECT_EQ(t.rows()[0][2].term.lexical, "30");
-  EXPECT_EQ(t.rows()[0][3].term.lexical, "40");
+  EXPECT_EQ(test::Unwrap(t.term(0, 0).AsDouble()), 105.0);
+  EXPECT_EQ(test::Unwrap(t.term(0, 1).AsDouble()), 35.0);
+  EXPECT_EQ(t.term(0, 2).lexical, "30");
+  EXPECT_EQ(t.term(0, 3).lexical, "40");
 }
 
 TEST_F(EngineFixture, CountDistinct) {
   ResultTable t = Run(
       "SELECT (COUNT(DISTINCT ?t) AS ?n) WHERE { ?s a ?t . }");
   ASSERT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.rows()[0][0].term.lexical, "2");
+  EXPECT_EQ(t.term(0, 0).lexical, "2");
 }
 
 TEST_F(EngineFixture, AskQueries) {
@@ -370,8 +370,8 @@ TEST_F(EngineFixture, OrderByDescending) {
   ResultTable t = Run(
       "SELECT ?s ?a WHERE { ?s <http://x/age> ?a . } ORDER BY DESC(?a)");
   ASSERT_EQ(t.num_rows(), 3u);
-  EXPECT_EQ(t.rows()[0][1].term.lexical, "40");
-  EXPECT_EQ(t.rows()[2][1].term.lexical, "30");
+  EXPECT_EQ(t.term(0, 1).lexical, "40");
+  EXPECT_EQ(t.term(2, 1).lexical, "30");
 }
 
 TEST_F(EngineFixture, JoinOrderDoesNotChangeResults) {
@@ -387,17 +387,19 @@ TEST_F(EngineFixture, JoinOrderDoesNotChangeResults) {
     ResultTable opt = Run(q);
     auto r = naive.ExecuteString(q);
     ASSERT_TRUE(r.ok());
-    std::vector<std::string> a, b;
-    for (const auto& row : opt.rows()) {
-      std::string key;
-      for (const auto& c : row) key += c.term.ToNTriples() + "|";
-      a.push_back(key);
-    }
-    for (const auto& row : r.ValueOrDie().rows()) {
-      std::string key;
-      for (const auto& c : row) key += c.term.ToNTriples() + "|";
-      b.push_back(key);
-    }
+    auto row_keys = [](const ResultTable& t) {
+      std::vector<std::string> keys;
+      for (size_t r = 0; r < t.num_rows(); ++r) {
+        std::string key;
+        for (size_t c = 0; c < t.columns().size(); ++c) {
+          key += (t.bound(r, c) ? t.term(r, c).ToNTriples() : "UNBOUND") + "|";
+        }
+        keys.push_back(key);
+      }
+      return keys;
+    };
+    std::vector<std::string> a = row_keys(opt);
+    std::vector<std::string> b = row_keys(r.ValueOrDie());
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << q;
